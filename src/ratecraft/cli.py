@@ -1,31 +1,35 @@
 """Batch command-line front end.
 
-Subcommands: synth, solve, curves, segment, simulate. Parameters resolve as
-CLI flag > JSON config file (--config, keys mirror flag names) > built-in
-default, and the defaults are visible in each subcommand's --help. All
-randomized procedures derive their streams from the single --seed. Output
-files are written atomically (temp file + rename) with fixed numeric
-formatting, so re-running a command with identical flags and seed yields
-byte-identical files. Exit codes: 0 success, 2 usage error, 1 runtime error.
+Subcommands: synth, solve, curves, segment, simulate. Every parameter is one
+row of the `_PARAMS` table, which gives its name, type, default, help text,
+choices, range check and the subcommands that take its flag. The table builds
+each subcommand's parser, and it resolves every value as CLI flag > JSON
+config file (--config, keys mirror flag names with underscores) > built-in
+default before checking it; the defaults are visible in each subcommand's
+--help. All randomized procedures derive their streams from the single
+--seed. Output files are written atomically (unique temp file + rename) with
+fixed numeric formatting, so re-running a command with identical flags and
+seed yields byte-identical files. Exit codes: 0 success, 2 usage error, 1
+runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, Optional
 
 from . import __version__
-from .costs import consumer_stats, group_lambda, individual_lambda
+from .costs import consumer_stats
 from .forecast import cv_curve
 from .ingest import (
     DEFAULT_TRAIN_SPLIT,
     SynthSpec,
     align,
+    atomic_write,
     load_meter_csv,
     load_price_csv,
     synth_population,
@@ -37,21 +41,72 @@ from .simulate import replay_validate
 from .solver import DEFAULT_GAMMA, lambda_curve, solve_min_lambda
 from .types import Dataset, SelectionVector
 
-_DEFAULTS = {
-    "out_dir": ".",
-    "gamma": DEFAULT_GAMMA,
-    "seed": 0,
-    "split": DEFAULT_TRAIN_SPLIT,
-    "n": 200,
-    "days": 90,
-    "fraction_peaky": 0.5,
-    "base_kwh": 10.0,
-    "noise_cv": 0.3,
-    "trials": 30,
-    "cv_threshold": 10.0,
-    "policy": "aggregate",
-    "design": "two_sided",
-}
+_ALL = ("synth", "solve", "curves", "segment", "simulate")
+_DATA = _ALL[1:]  # the commands that read a meter and a price CSV
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One parameter: flag --name with dashes, config and params key name."""
+
+    name: str
+    type: Optional[type]  # int or float, applied to flag and config values alike
+    default: object
+    help: str
+    commands: tuple[str, ...]  # the subcommands that take the flag
+    config_only: tuple[str, ...] = ()  # subcommands that read it from config or default
+    choices: Optional[tuple[str, ...]] = None
+    check: Optional[tuple[Callable, str]] = None  # (valid(value), message if not)
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+_PARAMS = (
+    _Param("out_dir", None, ".", "output directory", _ALL),
+    _Param("config", None, None, "JSON config file; flags override its keys", _ALL),
+    _Param("gamma", float, DEFAULT_GAMMA, "solver tolerance in cents/kWh", _ALL,
+           check=(lambda v: v > 0, "gamma must be > 0")),
+    _Param("seed", int, 0, "master random seed", _ALL,
+           check=(lambda v: v >= 0, "seed must be >= 0")),
+    _Param("meter", None, None, "meter CSV path", _DATA),
+    _Param("prices", None, None, "price CSV path", _DATA),
+    _Param("split", float, DEFAULT_TRAIN_SPLIT, "train fraction of days", _DATA,
+           config_only=("synth",), check=(lambda v: 0.0 < v <= 1.0, "split must be in (0, 1]")),
+    _Param("n", int, 200, "number of consumers", ("synth",)),
+    _Param("days", int, 90, "number of days", ("synth",)),
+    _Param("fraction_peaky", float, 0.5, "share of evening-peaking consumers", ("synth",)),
+    _Param("base_kwh", float, 10.0, "mean daily kWh per consumer", ("synth",)),
+    _Param("noise_cv", float, 0.3, "day-to-day noise coefficient of variation", ("synth",)),
+    _Param("m", int, None, "group size", ("solve",), required=True,
+           check=(lambda v: v >= 1, "m must be >= 1")),
+    _Param("sizes", None, None, "comma-separated group sizes (default: log-spaced grid)",
+           ("curves",)),
+    _Param("trials", int, 30, "random groups per size", ("curves",),
+           check=(lambda v: v >= 1, "trials must be >= 1")),
+    _Param("cv_threshold", float, 10.0, "forecast-error limit in percent", ("segment",),
+           check=(lambda v: v > 0, "cv-threshold must be > 0")),
+    _Param("policy", None, "aggregate", "leftover policy", ("segment",),
+           choices=("aggregate", "drop")),
+    _Param("size_grid", None, None, "comma-separated candidate sizes (default: log-spaced grid)",
+           ("segment",)),
+    _Param("selection", None, None, "selection CSV of consumer ids (default: everyone)",
+           ("simulate",)),
+    _Param("design", None, "two_sided", "settlement design", ("simulate",),
+           choices=("two_sided", "one_sided")),
+    _Param("days_limit", int, None, "replay at most this many validate days", ("simulate",),
+           check=(lambda v: v >= 1, "days-limit must be >= 1")),
+)
+
+
+def _help(param: _Param) -> str:
+    if param.required:
+        return f"{param.help} (required)"
+    if param.default is None:
+        return param.help
+    return f"{param.help} (default {param.default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,46 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ratecraft {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_shared(p, data=True):
-        p.add_argument("--out-dir", help=f"output directory (default {_DEFAULTS['out_dir']})")
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--gamma", type=float, help=f"solver tolerance in cents/kWh (default {_DEFAULTS['gamma']})")
-        p.add_argument("--seed", type=int, help=f"master random seed (default {_DEFAULTS['seed']})")
-        if data:
-            p.add_argument("--meter", help="meter CSV path")
-            p.add_argument("--prices", help="price CSV path")
-            p.add_argument("--split", type=float, help=f"train fraction of days (default {_DEFAULTS['split']})")
-
-    p = sub.add_parser("synth", help="write a synthetic meter and price CSV pair")
-    add_shared(p, data=False)
-    p.add_argument("--n", type=int, help=f"number of consumers (default {_DEFAULTS['n']})")
-    p.add_argument("--days", type=int, help=f"number of days (default {_DEFAULTS['days']})")
-    p.add_argument("--fraction-peaky", type=float, help=f"share of evening-peaking consumers (default {_DEFAULTS['fraction_peaky']})")
-    p.add_argument("--base-kwh", type=float, help=f"mean daily kWh per consumer (default {_DEFAULTS['base_kwh']})")
-    p.add_argument("--noise-cv", type=float, help=f"day-to-day noise coefficient of variation (default {_DEFAULTS['noise_cv']})")
-
-    p = sub.add_parser("solve", help="find the minimum-rate group of a given size")
-    add_shared(p)
-    p.add_argument("--m", type=int, help="group size (required)")
-
-    p = sub.add_parser("curves", help="rate and forecast-error curves over group sizes")
-    add_shared(p)
-    p.add_argument("--sizes", help="comma-separated group sizes (default: log-spaced grid)")
-    p.add_argument("--trials", type=int, help=f"random groups per size (default {_DEFAULTS['trials']})")
-
-    p = sub.add_parser("segment", help="partition the population into rate groups")
-    add_shared(p)
-    p.add_argument("--cv-threshold", type=float, help=f"forecast-error limit in percent (default {_DEFAULTS['cv_threshold']})")
-    p.add_argument("--policy", choices=["aggregate", "drop"], help=f"leftover policy (default {_DEFAULTS['policy']})")
-    p.add_argument("--size-grid", help="comma-separated candidate sizes (default: log-spaced grid)")
-
-    p = sub.add_parser("simulate", help="replay the validate window under realized prices")
-    add_shared(p)
-    p.add_argument("--selection", help="selection CSV of consumer ids (default: everyone)")
-    p.add_argument("--design", choices=["two_sided", "one_sided"], help=f"settlement design (default {_DEFAULTS['design']})")
-    p.add_argument("--days-limit", type=int, help="replay at most this many validate days")
-
+    for command, (help_text, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for param in _PARAMS:
+            if command in param.commands:
+                p.add_argument(param.flag, type=param.type, choices=param.choices,
+                               help=_help(param))
     return parser
 
 
@@ -114,13 +135,27 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _resolve(args, cfg: dict, key: str, default=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return _DEFAULTS.get(key, default)
+def _resolve(command: str, args, cfg: dict) -> dict:
+    """Every parameter `command` reads, as flag > config > default, converted and checked."""
+    params_of = [p for p in _PARAMS if command in p.commands + p.config_only]
+    params = {}
+    for p in params_of:
+        value = getattr(args, p.name, None)
+        if value is None:
+            value = cfg.get(p.name, p.default)
+        if value is not None and p.type is not None:
+            value = p.type(value)
+        params[p.name] = value
+    for p in params_of:
+        value = params[p.name]
+        if value is None:
+            if p.required:
+                raise ValueError(f"{p.flag} is required")
+        elif p.choices is not None and value not in p.choices:
+            raise ValueError(f"{p.name} must be {' or '.join(p.choices)}")
+        elif p.check is not None and not p.check[0](value):
+            raise ValueError(p.check[1])
+    return params
 
 
 def _parse_int_list(text) -> list[int]:
@@ -132,25 +167,20 @@ def _parse_int_list(text) -> list[int]:
         raise ValueError(f"expected a comma-separated list of integers, got {text!r}") from None
 
 
+def _check_sizes(params, key):
+    """Replace a comma-separated size list by its sorted distinct positive sizes."""
+    if params[key] is None:
+        return
+    sizes = sorted(set(_parse_int_list(params[key])))
+    if not sizes or sizes[0] < 1:
+        raise ValueError(f"{key.replace('_', '-')} must be positive integers")
+    params[key] = sizes
+
+
 def _require(cfg_value, name):
     if cfg_value is None:
         raise ValueError(f"--{name.replace('_', '-')} is required")
     return cfg_value
-
-
-def _check_common(params):
-    if params["gamma"] <= 0:
-        raise ValueError("gamma must be > 0")
-    if params["seed"] < 0:
-        raise ValueError("seed must be >= 0")
-    if "split" in params and not (0.0 < params["split"] <= 1.0):
-        raise ValueError("split must be in (0, 1]")
-
-
-def _atomic_write_text(path: Path, text: str):
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _load_dataset(params) -> Dataset:
@@ -159,30 +189,26 @@ def _load_dataset(params) -> Dataset:
     return align(consumers, prices, params["split"])
 
 
+def _write_text(path: Path, text: str):
+    atomic_write(path, lambda fh: fh.write(text))
+
+
 # -- synth ------------------------------------------------------------------
 
 
-def _prepare_synth(args, cfg):
-    params = {
-        "out_dir": _resolve(args, cfg, "out_dir"),
-        "gamma": float(_resolve(args, cfg, "gamma")),
-        "seed": int(_resolve(args, cfg, "seed")),
-        "split": float(_resolve(args, cfg, "split")),
-    }
-    _check_common(params)
-    params["spec"] = SynthSpec(
-        n_consumers=int(_resolve(args, cfg, "n")),
-        n_days=int(_resolve(args, cfg, "days")),
-        fraction_peaky=float(_resolve(args, cfg, "fraction_peaky")),
-        base_kwh_per_day=float(_resolve(args, cfg, "base_kwh")),
-        noise_cv=float(_resolve(args, cfg, "noise_cv")),
+def _synth_spec(params) -> SynthSpec:
+    return SynthSpec(
+        n_consumers=params["n"],
+        n_days=params["days"],
+        fraction_peaky=params["fraction_peaky"],
+        base_kwh_per_day=params["base_kwh"],
+        noise_cv=params["noise_cv"],
         seed=params["seed"],
     )
-    return params
 
 
 def _run_synth(params):
-    spec = params["spec"]
+    spec = _synth_spec(params)
     dataset = synth_population(spec, split=params["split"])
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -198,23 +224,6 @@ def _run_synth(params):
 # -- solve ------------------------------------------------------------------
 
 
-def _prepare_solve(args, cfg):
-    params = {
-        "out_dir": _resolve(args, cfg, "out_dir"),
-        "gamma": float(_resolve(args, cfg, "gamma")),
-        "seed": int(_resolve(args, cfg, "seed")),
-        "split": float(_resolve(args, cfg, "split")),
-        "meter": _resolve(args, cfg, "meter"),
-        "prices": _resolve(args, cfg, "prices"),
-        "m": _resolve(args, cfg, "m"),
-    }
-    _check_common(params)
-    params["m"] = int(_require(params["m"], "m"))
-    if params["m"] < 1:
-        raise ValueError("m must be >= 1")
-    return params
-
-
 def _run_solve(params):
     dataset = _load_dataset(params)
     if params["m"] > dataset.n_consumers:
@@ -223,11 +232,12 @@ def _run_solve(params):
     result = solve_min_lambda(stats, params["m"], params["gamma"])
     bits = result.selection.bits
     certificate = float((stats.t - result.lambda_star * stats.w)[bits].sum())
-    ids = [dataset.consumer_ids[i] for i in result.selection.indices]
+    consumer_ids = dataset.consumer_ids
+    ids = [consumer_ids[i] for i in result.selection.indices]
 
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "selection.csv", "consumer_id\n" + "".join(f"{i}\n" for i in ids))
+    _write_text(out / "selection.csv", "consumer_id\n" + "".join(f"{i}\n" for i in ids))
     print(f"lambda_star={result.lambda_star:.9f} cents/kWh")
     print(f"iterations={result.iterations}")
     print(f"certificate={certificate:.9e}")
@@ -238,36 +248,9 @@ def _run_solve(params):
 # -- curves -----------------------------------------------------------------
 
 
-def _prepare_curves(args, cfg):
-    params = {
-        "out_dir": _resolve(args, cfg, "out_dir"),
-        "gamma": float(_resolve(args, cfg, "gamma")),
-        "seed": int(_resolve(args, cfg, "seed")),
-        "split": float(_resolve(args, cfg, "split")),
-        "meter": _resolve(args, cfg, "meter"),
-        "prices": _resolve(args, cfg, "prices"),
-        "trials": int(_resolve(args, cfg, "trials")),
-        "sizes": _resolve(args, cfg, "sizes"),
-    }
-    _check_common(params)
-    if params["trials"] < 1:
-        raise ValueError("trials must be >= 1")
-    if params["sizes"] is not None:
-        sizes = sorted(set(_parse_int_list(params["sizes"])))
-        if not sizes or sizes[0] < 1:
-            raise ValueError("sizes must be positive integers")
-        params["sizes"] = sizes
-    return params
-
-
-def _curve_sizes(n: int) -> list[int]:
-    grid = np.logspace(0, np.log10(n), 20)
-    return sorted({int(round(g)) for g in grid})
-
-
 def _run_curves(params):
     dataset = _load_dataset(params)
-    sizes = params["sizes"] or _curve_sizes(dataset.n_consumers)
+    sizes = params["sizes"] or default_size_grid(dataset.n_consumers, smallest=1)
     if sizes[-1] > dataset.n_consumers:
         raise ValueError(f"largest size {sizes[-1]} exceeds population {dataset.n_consumers}")
     stats = consumer_stats(dataset, "train")
@@ -287,39 +270,15 @@ def _run_curves(params):
 
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "lambda_curve.csv",
-                       "M,lambda_cents_per_kwh\n" + "".join(r + "\n" for r in lam_rows))
-    _atomic_write_text(out / "cv_curve.csv",
-                       "M,kind,cv,ci_low,ci_high\n" + "".join(r + "\n" for r in cv_rows))
+    _write_text(out / "lambda_curve.csv",
+                "M,lambda_cents_per_kwh\n" + "".join(r + "\n" for r in lam_rows))
+    _write_text(out / "cv_curve.csv",
+                "M,kind,cv,ci_low,ci_high\n" + "".join(r + "\n" for r in cv_rows))
     print(f"sizes={','.join(str(m) for m in sizes)}")
     print(f"wrote {out / 'lambda_curve.csv'} and {out / 'cv_curve.csv'}")
 
 
 # -- segment ----------------------------------------------------------------
-
-
-def _prepare_segment(args, cfg):
-    params = {
-        "out_dir": _resolve(args, cfg, "out_dir"),
-        "gamma": float(_resolve(args, cfg, "gamma")),
-        "seed": int(_resolve(args, cfg, "seed")),
-        "split": float(_resolve(args, cfg, "split")),
-        "meter": _resolve(args, cfg, "meter"),
-        "prices": _resolve(args, cfg, "prices"),
-        "cv_threshold": float(_resolve(args, cfg, "cv_threshold")),
-        "policy": _resolve(args, cfg, "policy"),
-        "size_grid": _resolve(args, cfg, "size_grid"),
-    }
-    _check_common(params)
-    if params["cv_threshold"] <= 0:
-        raise ValueError("cv-threshold must be > 0")
-    if params["policy"] not in ("aggregate", "drop"):
-        raise ValueError("policy must be aggregate or drop")
-    if params["size_grid"] is not None:
-        params["size_grid"] = sorted(set(_parse_int_list(params["size_grid"])))
-        if not params["size_grid"] or params["size_grid"][0] < 1:
-            raise ValueError("size-grid must be positive integers")
-    return params
 
 
 def _run_segment(params):
@@ -333,6 +292,7 @@ def _run_segment(params):
     )
     stats = consumer_stats(dataset, "train")
     audit = stability_audit(result, stats, params["gamma"])
+    consumer_ids = dataset.consumer_ids
 
     payload = {
         "cv_threshold": params["cv_threshold"],
@@ -345,7 +305,7 @@ def _run_segment(params):
                 "rate_cents_per_kwh": g.rate,
                 "cv_percent": g.cv,
                 "threshold_met": g.threshold_met,
-                "member_ids": [dataset.consumer_ids[i] for i in g.members.indices],
+                "member_ids": [consumer_ids[i] for i in g.members.indices],
             }
             for g in result.groups
         ],
@@ -372,17 +332,17 @@ def _run_segment(params):
     assign_rows = []
     for g in result.groups:
         for i in g.members.indices:
-            assign_rows.append(f"{dataset.consumer_ids[i]},{g.round},{g.rate:.9f}")
+            assign_rows.append(f"{consumer_ids[i]},{g.round},{g.rate:.9f}")
 
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "segmentation.json", json.dumps(payload, indent=2) + "\n")
-    _atomic_write_text(out / "rounds.csv",
-                       "round,size,rate_cents_per_kwh,cv_percent,threshold_met\n"
-                       + "".join(r + "\n" for r in rounds_rows))
-    _atomic_write_text(out / "assignments.csv",
-                       "consumer_id,group_round,group_rate_cents_per_kwh\n"
-                       + "".join(r + "\n" for r in assign_rows))
+    _write_text(out / "segmentation.json", json.dumps(payload, indent=2) + "\n")
+    _write_text(out / "rounds.csv",
+                "round,size,rate_cents_per_kwh,cv_percent,threshold_met\n"
+                + "".join(r + "\n" for r in rounds_rows))
+    _write_text(out / "assignments.csv",
+                "consumer_id,group_round,group_rate_cents_per_kwh\n"
+                + "".join(r + "\n" for r in assign_rows))
     print(f"groups={len(result.groups)} assigned={result.n_assigned} of {dataset.n_consumers}")
     print(f"audit: pairs={audit.pairs_checked} moves={audit.moves_checked} "
           f"violations={len(audit.violations)}")
@@ -390,26 +350,6 @@ def _run_segment(params):
 
 
 # -- simulate ---------------------------------------------------------------
-
-
-def _prepare_simulate(args, cfg):
-    params = {
-        "out_dir": _resolve(args, cfg, "out_dir"),
-        "gamma": float(_resolve(args, cfg, "gamma")),
-        "seed": int(_resolve(args, cfg, "seed")),
-        "split": float(_resolve(args, cfg, "split")),
-        "meter": _resolve(args, cfg, "meter"),
-        "prices": _resolve(args, cfg, "prices"),
-        "design": _resolve(args, cfg, "design"),
-        "selection": _resolve(args, cfg, "selection"),
-        "days_limit": _resolve(args, cfg, "days_limit"),
-    }
-    _check_common(params)
-    if params["design"] not in ("two_sided", "one_sided"):
-        raise ValueError("design must be two_sided or one_sided")
-    if params["days_limit"] is not None and int(params["days_limit"]) < 1:
-        raise ValueError("days-limit must be >= 1")
-    return params
 
 
 def _read_selection_ids(path) -> list[str]:
@@ -429,12 +369,8 @@ def _run_simulate(params):
         if missing:
             raise ValueError(f"selection ids not in dataset: {', '.join(missing[:5])}")
         selection = SelectionVector.from_indices(dataset.n_consumers, [index[c] for c in ids])
-    limit = params["days_limit"]
     report = replay_validate(
-        dataset,
-        selection=selection,
-        design=params["design"],
-        n_days=None if limit is None else int(limit),
+        dataset, selection=selection, design=params["design"], n_days=params["days_limit"]
     )
 
     rows = []
@@ -445,9 +381,9 @@ def _run_simulate(params):
         )
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "settlement.csv",
-                       "day_index,date,demand_kwh,purchased_kwh,cost_cents\n"
-                       + "".join(r + "\n" for r in rows))
+    _write_text(out / "settlement.csv",
+                "day_index,date,demand_kwh,purchased_kwh,cost_cents\n"
+                + "".join(r + "\n" for r in rows))
     print(f"design={report.design} days={report.n_days} demand_kwh={report.demand_kwh:.4f}")
     print(f"realized_rate={report.realized_rate:.9f} cents/kWh")
     print(f"lambda={report.lambda_rate:.9f} cents/kWh")
@@ -455,12 +391,14 @@ def _run_simulate(params):
     print(f"wrote {out / 'settlement.csv'}")
 
 
-_COMMANDS = {
-    "synth": (_prepare_synth, _run_synth),
-    "solve": (_prepare_solve, _run_solve),
-    "curves": (_prepare_curves, _run_curves),
-    "segment": (_prepare_segment, _run_segment),
-    "simulate": (_prepare_simulate, _run_simulate),
+_COMMANDS = {  # name: (help, extra check on resolved params, run)
+    "synth": ("write a synthetic meter and price CSV pair", _synth_spec, _run_synth),
+    "solve": ("find the minimum-rate group of a given size", None, _run_solve),
+    "curves": ("rate and forecast-error curves over group sizes",
+               lambda params: _check_sizes(params, "sizes"), _run_curves),
+    "segment": ("partition the population into rate groups",
+                lambda params: _check_sizes(params, "size_grid"), _run_segment),
+    "simulate": ("replay the validate window under realized prices", None, _run_simulate),
 }
 
 
@@ -470,10 +408,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    prepare, execute = _COMMANDS[args.command]
+    _, check, execute = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config)
-        params = prepare(args, cfg)
+        params = _resolve(args.command, args, _load_config(args.config))
+        if check is not None:
+            check(params)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

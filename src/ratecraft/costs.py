@@ -65,7 +65,8 @@ def consumer_stats(dataset: Dataset, window: WindowName = "train") -> CostStats:
     """Per-consumer price-weighted usage t_i (cents) and total usage w_i (kWh).
 
     t_i sums day-ahead price times consumption over every hour of the window;
-    w_i is the consumer's total kWh over the same window.
+    w_i is the consumer's total kWh over the same window. A consumer with no
+    usage in the window has no rate, so that raises, naming the first few.
     """
     sl = dataset.window_slice(window)
     if sl.stop - sl.start == 0:
@@ -74,6 +75,11 @@ def consumer_stats(dataset: Dataset, window: WindowName = "train") -> CostStats:
     flat = dataset.usage_stack[:, sl, :].reshape(dataset.n_consumers, -1)
     t = flat @ prices
     w = flat.sum(axis=1)
+    idle = np.flatnonzero(w <= 0)
+    if idle.size:
+        ids = dataset.consumer_ids
+        named = ", ".join(ids[i] for i in idle[:5])
+        raise ValueError(f"{idle.size} consumer(s) have no usage in the {window} window: {named}")
     return CostStats(t=t, w=w)
 
 

@@ -96,7 +96,7 @@ def fit_ar(series: Sequence[float], order: int) -> tuple[float, np.ndarray]:
     return float(coef[0]), coef[1:].copy()
 
 
-def _group_profile(dataset: Dataset, u: SelectionVector) -> np.ndarray:
+def group_profile(dataset: Dataset, u: SelectionVector) -> np.ndarray:
     """Summed hourly consumption of the group, as a (days, 24) matrix."""
     if u.n != dataset.n_consumers:
         raise ValueError("selection length does not match dataset")
@@ -104,9 +104,10 @@ def _group_profile(dataset: Dataset, u: SelectionVector) -> np.ndarray:
     return (u.bits.astype(np.float64) @ flat).reshape(dataset.n_days, HOURS)
 
 
-def _fit_from_profile(
+def fit_profile(
     profile: np.ndarray, train_days: int, start_weekday: int, order: int
 ) -> GroupForecaster:
+    """Fit the group forecaster on the first train_days rows of a group profile."""
     if train_days < MIN_TRAIN_DAYS:
         raise ValueError(f"training window too short: need at least {MIN_TRAIN_DAYS} days")
     train = profile[:train_days]
@@ -133,8 +134,8 @@ def _fit_from_profile(
 
 def fit(dataset: Dataset, u: SelectionVector, order: int = DEFAULT_AR_ORDER) -> GroupForecaster:
     """Fit the group forecaster on the training window."""
-    profile = _group_profile(dataset, u)
-    return _fit_from_profile(profile, dataset.train_days, dataset.start_weekday, order)
+    profile = group_profile(dataset, u)
+    return fit_profile(profile, dataset.train_days, dataset.start_weekday, order)
 
 
 def predict_day(
@@ -156,6 +157,25 @@ def predict_day(
     return total * model.shapes[day_of_week]
 
 
+def predict_rows(
+    model: GroupForecaster, totals: np.ndarray, start: int, stop: int, start_weekday: int
+) -> np.ndarray:
+    """Forecast rows [start, stop) one step ahead, as a (stop - start, 24) block.
+
+    Row k is predicted by predict_day from the actual daily totals before it
+    and the weekday of row k. This is the one walk-forward loop: the
+    backtest, the error model and the replay all call it.
+    """
+    if not (model.order <= start <= stop <= len(totals)):
+        raise ValueError(
+            f"rows [{start}, {stop}) need {model.order} days of history within {len(totals)} days"
+        )
+    preds = np.empty((stop - start, HOURS))
+    for k in range(start, stop):
+        preds[k - start] = predict_day(model, totals[:k], (start_weekday + k) % 7)
+    return preds
+
+
 def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of variation of forecast error, in percent.
 
@@ -174,24 +194,6 @@ def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return 100.0 * rmse / mean
 
 
-def _walk_forward(
-    profile: np.ndarray,
-    model: GroupForecaster,
-    train_days: int,
-    start_weekday: int,
-    n_days: Optional[int] = None,
-) -> np.ndarray:
-    """Predict held-out days one step ahead, feeding actual totals forward."""
-    total_days = profile.shape[0]
-    stop = total_days if n_days is None else min(train_days + n_days, total_days)
-    totals = profile.sum(axis=1)
-    preds = np.empty((stop - train_days, HOURS))
-    for k in range(train_days, stop):
-        dow = (start_weekday + k) % 7
-        preds[k - train_days] = predict_day(model, totals[:k], dow)
-    return preds
-
-
 def backtest_cv(
     dataset: Dataset,
     u: SelectionVector,
@@ -201,10 +203,12 @@ def backtest_cv(
     """Fit on the training window, evaluate CV over the whole validate window."""
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
-    profile = _group_profile(dataset, u)
+    profile = group_profile(dataset, u)
     if model is None:
-        model = _fit_from_profile(profile, dataset.train_days, dataset.start_weekday, order)
-    preds = _walk_forward(profile, model, dataset.train_days, dataset.start_weekday)
+        model = fit_profile(profile, dataset.train_days, dataset.start_weekday, order)
+    preds = predict_rows(
+        model, profile.sum(axis=1), dataset.train_days, dataset.n_days, dataset.start_weekday
+    )
     actual = profile[dataset.train_days :]
     return cv(actual.ravel(), preds.ravel())
 
@@ -221,23 +225,26 @@ def estimate_error_sigma(
     window="train" uses one-step-ahead predictions inside the training window
     (after the AR warm-up); window="validate" uses the held-out days.
     """
-    profile = _group_profile(dataset, u)
+    profile = group_profile(dataset, u)
     if model is None:
-        model = _fit_from_profile(profile, dataset.train_days, dataset.start_weekday, order)
-    totals = profile.sum(axis=1)
+        model = fit_profile(profile, dataset.train_days, dataset.start_weekday, order)
     if window == "train":
-        rows = range(model.order, dataset.train_days)
+        start, stop = model.order, dataset.train_days
     elif window == "validate":
-        rows = range(dataset.train_days, dataset.n_days)
+        start, stop = dataset.train_days, dataset.n_days
     else:
         raise ValueError(f"unknown residual window {window!r}")
-    rows = list(rows)
-    if len(rows) < 2:
+    return residual_sigma(profile, model, start, stop, dataset.start_weekday)
+
+
+def residual_sigma(
+    profile: np.ndarray, model: GroupForecaster, start: int, stop: int, start_weekday: int
+) -> ForecastErrorModel:
+    """Per-hour standard deviation of the one-step residuals on rows [start, stop)."""
+    if stop - start < 2:
         raise ValueError("need at least two residual days to estimate sigma")
-    residuals = np.empty((len(rows), HOURS))
-    for out, k in enumerate(rows):
-        pred = predict_day(model, totals[:k], (dataset.start_weekday + k) % 7)
-        residuals[out] = profile[k] - pred
+    preds = predict_rows(model, profile.sum(axis=1), start, stop, start_weekday)
+    residuals = profile[start:stop] - preds
     return ForecastErrorModel(sigma=residuals.std(axis=0, ddof=1))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,9 @@ def _parse_hours(cells: list[str], lineno: int, path: str) -> np.ndarray:
         values = np.array([float(c) for c in cells], dtype=np.float64)
     except ValueError:
         raise ValueError(f"{path}: non-numeric reading at row {lineno}") from None
-    if np.any(values < 0):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: non-finite reading at row {lineno}")
+    if values.min() < 0:
         raise ValueError(f"{path}: negative reading at row {lineno}")
     return values
 
@@ -160,13 +163,22 @@ def load_price_csv(path) -> PriceSeries:
     return PriceSeries(HourlyMatrix(da, da_dates[0]), HourlyMatrix(rt, rt_dates[0]))
 
 
-def _atomic_write(path, write_rows):
-    """Write a text file via temp+rename so readers never see partial output."""
+def atomic_write(path, write_rows):
+    """Write a text file via temp+rename so readers never see partial output.
+
+    The temp file gets a unique name in the target directory, so nothing
+    already there can collide with it, and it is removed if writing fails.
+    """
     path = str(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        write_rows(fh)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="") as fh:
+            write_rows(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_meter_csv(consumers: list[ConsumerSeries], path):
@@ -179,7 +191,7 @@ def write_meter_csv(consumers: list[ConsumerSeries], path):
                 cells = [f"{v:.4f}" for v in c.usage.values[row]]
                 writer.writerow([c.consumer_id, date] + cells)
 
-    _atomic_write(path, _write)
+    atomic_write(path, _write)
 
 
 def write_price_csv(prices: PriceSeries, path):
@@ -192,7 +204,7 @@ def write_price_csv(prices: PriceSeries, path):
                 date = matrix.date_of_row(row).isoformat()
                 writer.writerow([date, market] + [f"{v:.4f}" for v in matrix.values[row]])
 
-    _atomic_write(path, _write)
+    atomic_write(path, _write)
 
 
 def _archetype_shape(peaky: bool) -> np.ndarray:

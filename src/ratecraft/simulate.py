@@ -25,7 +25,7 @@ from .costs import (
     realized_cost,
     realized_rate,
 )
-from .forecast import DEFAULT_AR_ORDER, _fit_from_profile, _group_profile, estimate_error_sigma, predict_day
+from .forecast import DEFAULT_AR_ORDER, fit_profile, group_profile, predict_rows, residual_sigma
 from .types import Dataset, SelectionVector
 
 
@@ -70,11 +70,13 @@ def replay_validate(
     if not (1 <= total_days <= dataset.validate_days):
         raise ValueError(f"n_days must be in [1, {dataset.validate_days}]")
 
-    profile = _group_profile(dataset, selection)
-    model = _fit_from_profile(profile, dataset.train_days, dataset.start_weekday, order)
-    error_model = estimate_error_sigma(dataset, selection, model=model, window="train")
+    train_days, start_weekday = dataset.train_days, dataset.start_weekday
+    profile = group_profile(dataset, selection)
+    model = fit_profile(profile, train_days, start_weekday, order)
+    error_model = residual_sigma(profile, model, model.order, train_days, start_weekday)
     q_mean = mean_real_time_price(dataset, "train")
     totals = profile.sum(axis=1)
+    forecasts = predict_rows(model, totals, train_days, train_days + total_days, start_weekday)
 
     p_all = dataset.prices.day_ahead.values
     q_all = dataset.prices.real_time.values
@@ -85,9 +87,8 @@ def replay_validate(
     da_value = 0.0  # sum of p . d over replayed days
     expected_total = 0.0
     for step in range(total_days):
-        k = dataset.train_days + step
-        forecast = predict_day(model, totals[:k], dataset.weekday_of_row(k))
-        plan = newsvendor_purchase(forecast, error_model, p_all[k], q_mean, rho_min=rho_min)
+        k = train_days + step
+        plan = newsvendor_purchase(forecasts[step], error_model, p_all[k], q_mean, rho_min=rho_min)
         cost = realized_cost(p_all[k], q_all[k], plan.purchase, profile[k], design)
         settlements.append(
             DailySettlement(day_index=k, purchased=plan.purchase, consumed=profile[k], cost=cost)

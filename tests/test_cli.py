@@ -67,6 +67,16 @@ def test_solve_matches_committed_oracle_fixture(tmp_path, capsys):
     assert oracle.lambda_star == pytest.approx(fixture["lambda_star"], rel=1e-12)
 
 
+def test_solve_writes_past_a_stale_temp_path(tmp_path, capsys):
+    # a fixed "<name>.tmp" temp path would collide with this directory
+    (tmp_path / "selection.csv.tmp").mkdir()
+    assert main(["solve", "--meter", METER, "--prices", PRICES, "--m", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "selection.csv").read_text().splitlines()
+    assert lines[0] == "consumer_id" and len(lines) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["selection.csv", "selection.csv.tmp"]
+
+
 def test_solve_m1_returns_cheapest_consumer(tmp_path, capsys):
     assert main(["solve", "--meter", METER, "--prices", PRICES, "--m", "1",
                  "--out-dir", str(tmp_path)]) == 0

@@ -97,6 +97,19 @@ def test_consumer_stats_empty_window():
         consumer_stats(ds, "validate")
 
 
+def test_consumer_stats_names_consumers_idle_in_window():
+    busy = np.ones((20, 24))
+    idle_in_train = np.ones((20, 24))
+    idle_in_train[:15] = 0.0  # usage only after the training window
+    ds = make_dataset(
+        [busy, idle_in_train, idle_in_train], da=np.ones(24), train_days=15,
+        ids=["busy", "late-1", "late-2"],
+    )
+    with pytest.raises(ValueError, match="2 consumer.*no usage in the train window: late-1, late-2"):
+        consumer_stats(ds, "train")
+    assert consumer_stats(ds, "validate").n == 3
+
+
 def test_individual_lambda_flat_price_identity():
     rng = np.random.default_rng(8)
     usage = rng.uniform(0.0, 3.0, (3, 24))

@@ -13,7 +13,9 @@ from ratecraft.forecast import (
     estimate_error_sigma,
     fit,
     fit_ar,
+    group_profile,
     predict_day,
+    predict_rows,
 )
 from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.types import SelectionVector
@@ -133,6 +135,45 @@ def test_ar_lag_ordering():
     )
     pred = predict_day(model, [3.0, 11.0], day_of_week=0)
     assert float(pred.sum()) == pytest.approx(11.0)
+
+
+@given(
+    members=st.sets(st.integers(0, 199), min_size=1, max_size=200),
+    order=st.integers(1, 20),
+    floor_shift=st.floats(-1.0, 0.0),
+)
+def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floor_shift):
+    # the block kernel must reproduce the single-day reference, looped day by day, exactly
+    ds = synth_medium
+    sel = SelectionVector.from_indices(ds.n_consumers, sorted(members))
+    fitted = fit(ds, sel, order=order)
+    profile = group_profile(ds, sel)
+    totals = profile.sum(axis=1)
+    # lowering the intercept makes some predicted totals hit the floor at 0
+    model = GroupForecaster(
+        order=order,
+        intercept=fitted.intercept + floor_shift * float(totals.mean()),
+        coeffs=fitted.coeffs,
+        shapes=fitted.shapes,
+    )
+    for start, stop in ((order, ds.train_days), (ds.train_days, ds.n_days)):
+        block = predict_rows(model, totals, start, stop, ds.start_weekday)
+        reference = np.array(
+            [predict_day(model, totals[:k], ds.weekday_of_row(k)) for k in range(start, stop)]
+        )
+        assert np.array_equal(block, reference)
+
+
+def test_predict_rows_rejects_rows_without_history():
+    model = GroupForecaster(
+        order=3, intercept=1.0, coeffs=np.zeros(3), shapes=np.full((7, 24), 1.0 / 24.0)
+    )
+    totals = np.ones(10)
+    assert predict_rows(model, totals, 5, 5, 0).shape == (0, 24)
+    with pytest.raises(ValueError, match="history"):
+        predict_rows(model, totals, 2, 5, 0)
+    with pytest.raises(ValueError, match="history"):
+        predict_rows(model, totals, 5, 11, 0)
 
 
 # -- cv ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ratecraft.costs import consumer_stats
 from ratecraft.ingest import (
     SynthSpec,
     align,
+    atomic_write,
     load_meter_csv,
     load_price_csv,
     synth_population,
@@ -56,6 +58,49 @@ def test_meter_negative_reading(tmp_path):
     path.write_text(_meter_lines(rows))
     with pytest.raises(ValueError, match="negative reading at row 3"):
         load_meter_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_meter_non_finite_reading(tmp_path, cell):
+    rows = [
+        "a,2021-01-04," + _day_cells(1.0),
+        "a,2021-01-05," + ",".join([cell if h == 7 else "1.0000" for h in range(24)]),
+    ]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows))
+    with pytest.raises(ValueError, match=f"{path}: non-finite reading at row 3"):
+        load_meter_csv(path)
+
+
+def test_price_non_finite_reading(tmp_path):
+    cells = ",".join(["nan" if h == 18 else "2.0000" for h in range(24)])
+    path = tmp_path / "prices.csv"
+    path.write_text(_price_lines(["2021-01-04,DA," + cells, "2021-01-04,RT," + _day_cells(2.0)]))
+    with pytest.raises(ValueError, match="non-finite reading at row 3"):
+        load_price_csv(path)
+
+
+def test_atomic_write_removes_temp_file_on_error(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def failing(fh):
+        fh.write("partial")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        atomic_write(target, failing)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert target.read_text() == "old\n"
+
+
+def test_atomic_write_gives_default_file_mode(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    target = tmp_path / "out.csv"
+    atomic_write(target, lambda fh: fh.write("a\n"))
+    assert target.read_text() == "a\n"
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_meter_gap(tmp_path):
