@@ -67,12 +67,12 @@ class _Param:
 _PARAMS = (
     _Param("out_dir", None, ".", "output directory", _ALL),
     _Param("config", None, None, "JSON config file; flags override its keys", _ALL),
-    _Param("gamma", float, DEFAULT_GAMMA, "solver tolerance in cents/kWh", _ALL,
+    _Param("gamma", float, DEFAULT_GAMMA, "solver tolerance in cents/kWh", _DATA,
            check=(lambda v: v > 0, "gamma must be > 0")),
     _Param("seed", int, 0, "master random seed", _ALL,
            check=(lambda v: v >= 0, "seed must be >= 0")),
-    _Param("meter", None, None, "meter CSV path", _DATA),
-    _Param("prices", None, None, "price CSV path", _DATA),
+    _Param("meter", None, None, "meter CSV path", _DATA, required=True),
+    _Param("prices", None, None, "price CSV path", _DATA, required=True),
     _Param("split", float, DEFAULT_TRAIN_SPLIT, "train fraction of days", _DATA,
            config_only=("synth",), check=(lambda v: 0.0 < v <= 1.0, "split must be in (0, 1]")),
     _Param("n", int, 200, "number of consumers", ("synth",)),
@@ -177,15 +177,15 @@ def _check_sizes(params, key):
     params[key] = sizes
 
 
-def _require(cfg_value, name):
-    if cfg_value is None:
-        raise ValueError(f"--{name.replace('_', '-')} is required")
-    return cfg_value
+def _check_validate_window(params):
+    """Reject split 1.0 for the commands that score forecasts on the validate window."""
+    if params["split"] == 1.0:
+        raise ValueError("split must be < 1: the validate window would be empty")
 
 
 def _load_dataset(params) -> Dataset:
-    consumers = load_meter_csv(_require(params["meter"], "meter"))
-    prices = load_price_csv(_require(params["prices"], "prices"))
+    consumers = load_meter_csv(params["meter"])
+    prices = load_price_csv(params["prices"])
     return align(consumers, prices, params["split"])
 
 
@@ -391,14 +391,17 @@ def _run_simulate(params):
     print(f"wrote {out / 'settlement.csv'}")
 
 
-_COMMANDS = {  # name: (help, extra check on resolved params, run)
-    "synth": ("write a synthetic meter and price CSV pair", _synth_spec, _run_synth),
-    "solve": ("find the minimum-rate group of a given size", None, _run_solve),
+_COMMANDS = {  # name: (help, extra checks on resolved params, run)
+    "synth": ("write a synthetic meter and price CSV pair", (_synth_spec,), _run_synth),
+    "solve": ("find the minimum-rate group of a given size", (), _run_solve),
     "curves": ("rate and forecast-error curves over group sizes",
-               lambda params: _check_sizes(params, "sizes"), _run_curves),
+               (_check_validate_window, lambda params: _check_sizes(params, "sizes")),
+               _run_curves),
     "segment": ("partition the population into rate groups",
-                lambda params: _check_sizes(params, "size_grid"), _run_segment),
-    "simulate": ("replay the validate window under realized prices", None, _run_simulate),
+                (_check_validate_window, lambda params: _check_sizes(params, "size_grid")),
+                _run_segment),
+    "simulate": ("replay the validate window under realized prices",
+                 (_check_validate_window,), _run_simulate),
 }
 
 
@@ -408,10 +411,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    _, check, execute = _COMMANDS[args.command]
+    _, checks, execute = _COMMANDS[args.command]
     try:
         params = _resolve(args.command, args, _load_config(args.config))
-        if check is not None:
+        for check in checks:
             check(params)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

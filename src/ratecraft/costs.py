@@ -140,10 +140,8 @@ def realized_rate(costs: Sequence[float], demands: Sequence[float]) -> float:
     return float(costs.sum() / total)
 
 
-def _optimal_adjustment(
-    sigma: np.ndarray, p: np.ndarray, q_mean: np.ndarray, rho_min: float
-) -> np.ndarray:
-    rho = np.clip(p / q_mean, rho_min, 1.0 - rho_min)
+def _optimal_adjustment(sigma: np.ndarray, p: np.ndarray, q_mean: np.ndarray) -> np.ndarray:
+    rho = np.clip(p / q_mean, RHO_MIN, 1.0 - RHO_MIN)
     return sigma * ndtri(1.0 - rho)
 
 
@@ -164,13 +162,12 @@ def newsvendor_purchase(
     error_model: ForecastErrorModel,
     p: Sequence[float],
     q_mean: Sequence[float],
-    rho_min: float = RHO_MIN,
 ) -> PurchasePlan:
     """Cost-minimizing one-sided purchase given Gaussian hourly forecast errors.
 
     At the optimum the probability of under-purchasing in hour h equals
     p_h / E[q_h], so the adjustment is delta_h = sigma_h * z(1 - rho_h) with
-    rho_h clamped to [rho_min, 1 - rho_min] to keep the quantile finite when
+    rho_h clamped to [RHO_MIN, 1 - RHO_MIN] to keep the quantile finite when
     p_h exceeds the expected real-time price. Purchases are floored at zero;
     with sigma_h = 0 the purchase is exactly the forecast.
     """
@@ -178,7 +175,7 @@ def newsvendor_purchase(
     forecast = np.asarray(forecast, dtype=np.float64)
     if forecast.shape != (HOURS,):
         raise ValueError(f"forecast must be a {HOURS}-vector")
-    delta = _optimal_adjustment(error_model.sigma, p, q_mean, rho_min)
+    delta = _optimal_adjustment(error_model.sigma, p, q_mean)
     purchase = np.maximum(forecast + delta, 0.0)
     return PurchasePlan(forecast=forecast, adjustment=delta, purchase=purchase)
 
@@ -187,7 +184,6 @@ def expected_penalty(
     error_model: ForecastErrorModel,
     p: Sequence[float],
     q_mean: Sequence[float],
-    rho_min: float = RHO_MIN,
 ) -> float:
     """Expected extra cost (cents) of one-sided settlement at the optimal purchase.
 
@@ -198,7 +194,7 @@ def expected_penalty(
     """
     p, q_mean = _validate_price_inputs(p, q_mean)
     sigma = error_model.sigma
-    delta = _optimal_adjustment(sigma, p, q_mean, rho_min)
+    delta = _optimal_adjustment(sigma, p, q_mean)
     tail = np.zeros(HOURS)
     pos = sigma > 0
     if np.any(pos):

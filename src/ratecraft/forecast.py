@@ -10,7 +10,7 @@ sums exactly to the total prediction. It sits behind a small surface
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -194,18 +194,12 @@ def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return 100.0 * rmse / mean
 
 
-def backtest_cv(
-    dataset: Dataset,
-    u: SelectionVector,
-    order: int = DEFAULT_AR_ORDER,
-    model: Optional[GroupForecaster] = None,
-) -> float:
+def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
     """Fit on the training window, evaluate CV over the whole validate window."""
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
     profile = group_profile(dataset, u)
-    if model is None:
-        model = fit_profile(profile, dataset.train_days, dataset.start_weekday, order)
+    model = fit_profile(profile, dataset.train_days, dataset.start_weekday, DEFAULT_AR_ORDER)
     preds = predict_rows(
         model, profile.sum(axis=1), dataset.train_days, dataset.n_days, dataset.start_weekday
     )
@@ -214,20 +208,15 @@ def backtest_cv(
 
 
 def estimate_error_sigma(
-    dataset: Dataset,
-    u: SelectionVector,
-    model: Optional[GroupForecaster] = None,
-    window: str = "train",
-    order: int = DEFAULT_AR_ORDER,
+    dataset: Dataset, u: SelectionVector, window: str = "train"
 ) -> ForecastErrorModel:
-    """Per-hour standard deviation of forecast residuals.
+    """Per-hour standard deviation of the fitted forecaster's residuals.
 
     window="train" uses one-step-ahead predictions inside the training window
     (after the AR warm-up); window="validate" uses the held-out days.
     """
     profile = group_profile(dataset, u)
-    if model is None:
-        model = fit_profile(profile, dataset.train_days, dataset.start_weekday, order)
+    model = fit_profile(profile, dataset.train_days, dataset.start_weekday, DEFAULT_AR_ORDER)
     if window == "train":
         start, stop = model.order, dataset.train_days
     elif window == "validate":
@@ -254,7 +243,6 @@ def cv_curve(
     n_random_trials: int = 30,
     gamma: float = DEFAULT_GAMMA,
     seed: int = 0,
-    order: int = DEFAULT_AR_ORDER,
 ) -> CvCurve:
     """Forecast-error curve over group sizes, for random and optimal groups.
 
@@ -280,12 +268,12 @@ def cv_curve(
             rng = np.random.default_rng([seed, s_idx, trial])
             members = rng.choice(n, size=m, replace=False)
             selection = SelectionVector.from_indices(n, members)
-            trial_cvs[trial] = backtest_cv(dataset, selection, order=order)
+            trial_cvs[trial] = backtest_cv(dataset, selection)
         mean_cv = float(trial_cvs.mean())
         spread = float(trial_cvs.std(ddof=1)) if n_random_trials > 1 else 0.0
         bands[m] = (max(mean_cv - 1.96 * spread, 0.0), mean_cv + 1.96 * spread)
         points.append(CvPoint(m=m, kind="random", cv=mean_cv))
 
         optimal = solve_min_lambda(stats, m, gamma).selection
-        points.append(CvPoint(m=m, kind="optimal", cv=backtest_cv(dataset, optimal, order=order)))
+        points.append(CvPoint(m=m, kind="optimal", cv=backtest_cv(dataset, optimal)))
     return CvCurve(points=tuple(points), random_ci=bands)

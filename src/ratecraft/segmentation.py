@@ -1,10 +1,10 @@
 """Iterative segmentation of a population into rate groups.
 
-Each round builds the forecast-error curve for minimum-rate groups over the
-remaining consumers, picks the smallest size whose CV meets the threshold,
-recruits that group at its historical rate, removes it, and repeats. The
-leftover consumers, if no size qualifies, are either aggregated into one
-final group or dropped. A stability audit verifies that no consumer could
+Each round solves for minimum-rate groups of increasing size over the
+remaining consumers, recruits the smallest whose backtested CV meets the
+threshold at its historical rate, removes it, and repeats. The leftover
+consumers, once no size qualifies, are either aggregated into one final
+group or dropped. A stability audit verifies that no consumer could
 improve their rate by unilaterally joining an earlier group.
 """
 
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import consumer_stats, group_lambda
-from .forecast import DEFAULT_AR_ORDER, CvCurve, backtest_cv
+from .forecast import CvCurve, backtest_cv
 from .solver import DEFAULT_GAMMA, solve_min_lambda
 from .types import CostStats, Dataset, SelectionVector
 
@@ -112,30 +112,55 @@ def min_group_size(curve: CvCurve, cv_threshold: float) -> Optional[int]:
     return min(qualifying) if qualifying else None
 
 
-def default_size_grid(n: int, points: int = 20, smallest: int = 10) -> list[int]:
-    """Log-spaced candidate sizes from `smallest` up to n."""
+def default_size_grid(n: int, smallest: int = 10) -> list[int]:
+    """Up to 20 log-spaced candidate sizes from `smallest` up to n."""
     if n < 1:
         raise ValueError("population must be nonempty")
     if n <= smallest:
         return list(range(1, n + 1))
-    grid = np.logspace(np.log10(smallest), np.log10(n), points)
+    grid = np.logspace(np.log10(smallest), np.log10(n), 20)
     return sorted({int(round(g)) for g in grid})
 
 
-def _optimal_group_cv(
+def _recruit(
     dataset: Dataset,
     stats: CostStats,
-    remaining: np.ndarray,
-    m: int,
+    pool: np.ndarray,
+    size_grid: Sequence[int],
+    cv_threshold: float,
     gamma: float,
-    order: int,
-) -> tuple[float, SelectionVector]:
-    """Solve for the cheapest size-m group among remaining consumers, backtest it."""
-    pool = np.flatnonzero(remaining)
+    has_validate_usage: np.ndarray,
+) -> Optional[tuple[float, SelectionVector]]:
+    """One round of segment_population over the remaining consumers `pool`.
+
+    `pool` holds their indices in ascending order. Returns the CV and members
+    of the smallest qualifying group, or None when no grid size qualifies.
+    """
     sub = CostStats(t=stats.t[pool], w=stats.w[pool])
-    local = solve_min_lambda(sub, m, gamma).selection
-    selection = SelectionVector.from_indices(dataset.n_consumers, pool[local.indices])
-    return backtest_cv(dataset, selection, order=order), selection
+
+    def probe(m):
+        """The cheapest size-m group with its CV if it meets the threshold, else None."""
+        members = pool[solve_min_lambda(sub, m, gamma).selection.indices]
+        if not has_validate_usage[members].any():
+            return None
+        selection = SelectionVector.from_indices(dataset.n_consumers, members)
+        cv_m = backtest_cv(dataset, selection)
+        return (cv_m, selection) if cv_m <= cv_threshold else None
+
+    sizes = sorted({min(m, pool.size) for m in size_grid})
+    first_untried = sizes[0]  # the size after the last failing grid size
+    for m in sizes:
+        found = probe(m)
+        if found is not None:
+            break
+        first_untried = m + 1
+    else:
+        return None
+    for k in range(first_untried, m):
+        smaller = probe(k)
+        if smaller is not None:
+            return smaller
+    return found
 
 
 def segment_population(
@@ -144,21 +169,23 @@ def segment_population(
     size_grid: Optional[Sequence[int]] = None,
     gamma: float = DEFAULT_GAMMA,
     leftover_policy: LeftoverPolicy = "aggregate",
-    order: int = DEFAULT_AR_ORDER,
-    refine: bool = True,
 ) -> SegmentationResult:
     """Peel minimum-rate groups meeting the CV threshold until none remain.
 
-    Every round re-evaluates the forecast-error curve from scratch on the
-    remaining consumers over `size_grid` (capped at the remaining count). The
-    coarse scan stops at the first qualifying size; with refine=True a linear
-    scan then walks the bracket between the last failing grid size and that
-    point to find the smallest qualifying size. CV is measured by backtest:
-    fit on the training window, evaluate on the validate window. Rates are
-    the groups' historical per-unit costs over the training window.
+    Each round solves for the cheapest group of a candidate size among the
+    remaining consumers and backtests it: fit on the training window,
+    evaluate CV on the validate window. Sizes of `size_grid` (capped at the
+    remaining count) are tried in ascending order up to the first that meets
+    the threshold, then every size between the last failing grid size and
+    that one; the smallest that meets it is recruited. A group with no usage
+    in the validate window does not meet it. Peeling stops at the first round
+    where no size qualifies. Rates are the groups' historical per-unit costs
+    over the training window.
     """
     if cv_threshold <= 0:
         raise ValueError("cv_threshold must be positive")
+    if dataset.validate_days < 1:
+        raise ValueError("validate window is empty")
     if size_grid is None:
         size_grid = default_size_grid(dataset.n_consumers)
     size_grid = sorted(set(int(m) for m in size_grid))
@@ -168,56 +195,39 @@ def segment_population(
         raise ValueError("size grid entries must be >= 1")
 
     stats = consumer_stats(dataset, "train")
-    remaining = np.ones(dataset.n_consumers, dtype=bool)
+    has_validate_usage = dataset.usage_stack[:, dataset.train_days :].any(axis=(1, 2))
+    pool = np.arange(dataset.n_consumers)
     groups: list[SegmentGroup] = []
-    round_no = 1
-    while remaining.any():
-        n_rem = int(remaining.sum())
-        sizes = sorted({min(m, n_rem) for m in size_grid})
-
-        found_m = None
-        found_sel = None
-        found_cv = None
-        prev_fail = None
-        for m in sizes:
-            cv_m, sel = _optimal_group_cv(dataset, stats, remaining, m, gamma, order)
-            if cv_m <= cv_threshold:
-                found_m, found_sel, found_cv = m, sel, cv_m
-                break
-            prev_fail = m
-
-        if found_m is not None and refine and prev_fail is not None:
-            for m in range(prev_fail + 1, found_m):
-                cv_m, sel = _optimal_group_cv(dataset, stats, remaining, m, gamma, order)
-                if cv_m <= cv_threshold:
-                    found_m, found_sel, found_cv = m, sel, cv_m
-                    break
-
-        if found_m is None:
+    while pool.size:
+        found = _recruit(dataset, stats, pool, size_grid, cv_threshold, gamma, has_validate_usage)
+        if found is None:
             break
-
+        cv_found, selection = found
         groups.append(
             SegmentGroup(
-                round=round_no,
-                members=found_sel,
-                size=found_m,
-                rate=group_lambda(stats, found_sel),
-                cv=found_cv,
+                round=len(groups) + 1,
+                members=selection,
+                size=selection.cardinality,
+                rate=group_lambda(stats, selection),
+                cv=cv_found,
                 threshold_met=True,
             )
         )
-        remaining &= ~found_sel.bits
-        round_no += 1
+        pool = pool[~selection.bits[pool]]
 
-    if remaining.any() and leftover_policy == "aggregate":
-        leftover = SelectionVector(bits=remaining, cardinality=int(remaining.sum()))
+    if pool.size and leftover_policy == "aggregate":
+        if not has_validate_usage[pool].any():
+            raise ValueError(
+                f"the leftover group of {pool.size} consumer(s) has no usage in the validate window"
+            )
+        leftover = SelectionVector.from_indices(dataset.n_consumers, pool)
         groups.append(
             SegmentGroup(
-                round=round_no,
+                round=len(groups) + 1,
                 members=leftover,
                 size=leftover.cardinality,
                 rate=group_lambda(stats, leftover),
-                cv=backtest_cv(dataset, leftover, order=order),
+                cv=backtest_cv(dataset, leftover),
                 threshold_met=False,
             )
         )

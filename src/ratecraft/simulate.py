@@ -17,7 +17,6 @@ import numpy as np
 
 from .costs import (
     DailySettlement,
-    RHO_MIN,
     SettlementDesign,
     expected_penalty,
     mean_real_time_price,
@@ -50,8 +49,6 @@ def replay_validate(
     selection: Optional[SelectionVector] = None,
     design: SettlementDesign = "two_sided",
     n_days: Optional[int] = None,
-    order: int = DEFAULT_AR_ORDER,
-    rho_min: float = RHO_MIN,
 ) -> ReplayReport:
     """Forecast, purchase and settle each validate day for the selected group.
 
@@ -72,7 +69,7 @@ def replay_validate(
 
     train_days, start_weekday = dataset.train_days, dataset.start_weekday
     profile = group_profile(dataset, selection)
-    model = fit_profile(profile, train_days, start_weekday, order)
+    model = fit_profile(profile, train_days, start_weekday, DEFAULT_AR_ORDER)
     error_model = residual_sigma(profile, model, model.order, train_days, start_weekday)
     q_mean = mean_real_time_price(dataset, "train")
     totals = profile.sum(axis=1)
@@ -88,7 +85,7 @@ def replay_validate(
     expected_total = 0.0
     for step in range(total_days):
         k = train_days + step
-        plan = newsvendor_purchase(forecasts[step], error_model, p_all[k], q_mean, rho_min=rho_min)
+        plan = newsvendor_purchase(forecasts[step], error_model, p_all[k], q_mean)
         cost = realized_cost(p_all[k], q_all[k], plan.purchase, profile[k], design)
         settlements.append(
             DailySettlement(day_index=k, purchased=plan.purchase, consumed=profile[k], cost=cost)
@@ -96,7 +93,7 @@ def replay_validate(
         day_costs[step] = cost
         day_demand[step] = totals[k]
         da_value += float(p_all[k] @ profile[k])
-        expected_total += expected_penalty(error_model, p_all[k], q_mean, rho_min=rho_min)
+        expected_total += expected_penalty(error_model, p_all[k], q_mean)
 
     rate = realized_rate(day_costs, day_demand)
     demand = float(day_demand.sum())

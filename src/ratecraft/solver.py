@@ -94,17 +94,17 @@ def solve_min_lambda(stats: CostStats, m: int, gamma: float = DEFAULT_GAMMA) -> 
     return SolveResult(lambda_star=best_lam, selection=best, iterations=iterations, bracket=(lo, hi))
 
 
-def brute_force_min_lambda(
-    stats: CostStats, m: int, max_subsets: int = BRUTE_FORCE_LIMIT
-) -> SolveResult:
+def brute_force_min_lambda(stats: CostStats, m: int) -> SolveResult:
     """Exact minimizer by enumerating every M-subset; oracle for the bisection.
 
-    Guarded: refuses instances with more than max_subsets combinations.
+    Guarded: refuses instances with more than BRUTE_FORCE_LIMIT combinations.
     """
     _check_m(stats, m)
     count = math.comb(stats.n, m)
-    if count > max_subsets:
-        raise ValueError(f"C({stats.n}, {m}) = {count} subsets exceeds the limit of {max_subsets}")
+    if count > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"C({stats.n}, {m}) = {count} subsets exceeds the limit of {BRUTE_FORCE_LIMIT}"
+        )
     t = stats.t.tolist()
     w = stats.w.tolist()
     best_ratio = math.inf

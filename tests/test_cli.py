@@ -42,6 +42,11 @@ def test_synth_invalid_noise_is_usage_error(tmp_path, capsys):
     assert "noise_cv must be >= 0" in capsys.readouterr().err
 
 
+def test_synth_takes_no_gamma(tmp_path, capsys):
+    assert main(_synth_args(tmp_path) + ["--gamma", "1e-6"]) == 2
+    assert "--gamma" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["synth", "--bogus", "1"]) == 2
 
@@ -114,6 +119,21 @@ def test_solve_requires_m(tmp_path, capsys):
     rc = main(["solve", "--meter", METER, "--prices", PRICES, "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "--m is required" in capsys.readouterr().err
+
+
+def test_solve_requires_meter(tmp_path, capsys):
+    rc = main(["solve", "--prices", PRICES, "--m", "3", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "--meter is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["curves", "segment", "simulate"])
+def test_split_one_leaves_no_validate_window_and_is_usage_error(tmp_path, capsys, command):
+    rc = main([command, "--meter", METER, "--prices", PRICES, "--split", "1.0",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "validate window would be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ratecraft.costs import consumer_stats, group_lambda
-from ratecraft.forecast import CvCurve, CvPoint
+from ratecraft.forecast import CvCurve, CvPoint, backtest_cv
 from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.segmentation import (
     SegmentGroup,
@@ -12,7 +12,8 @@ from ratecraft.segmentation import (
     segment_population,
     stability_audit,
 )
-from ratecraft.types import CostStats, SelectionVector
+from ratecraft.solver import solve_min_lambda
+from ratecraft.types import ConsumerSeries, CostStats, Dataset, HourlyMatrix, SelectionVector
 
 GAMMA = 1e-6
 
@@ -53,8 +54,6 @@ def test_default_size_grid():
 def _replicated_population(n, days=30, seed=0):
     """n copies of one synthetic consumer, distinct ids, shared behavior."""
     single = synth_population(SynthSpec(n_consumers=1, n_days=days, noise_cv=0.2, seed=seed))
-    from ratecraft.types import ConsumerSeries, Dataset
-
     consumers = tuple(
         ConsumerSeries(f"c{i:03d}", single.consumers[0].usage) for i in range(n)
     )
@@ -63,7 +62,7 @@ def _replicated_population(n, days=30, seed=0):
 
 def test_segment_identical_consumers_equal_rates():
     ds = _replicated_population(12)
-    seg = segment_population(ds, cv_threshold=100.0, size_grid=[3], refine=False)
+    seg = segment_population(ds, cv_threshold=100.0, size_grid=[3])
     assert [g.size for g in seg.groups] == [3, 3, 3, 3]
     assert all(g.threshold_met for g in seg.groups)
     rates = [g.rate for g in seg.groups]
@@ -134,11 +133,52 @@ def test_segment_empty_grid_rejected(synth_medium):
 
 def test_segment_refine_finds_smaller_group():
     ds = _replicated_population(40, days=40, seed=3)
-    coarse = segment_population(ds, cv_threshold=100.0, size_grid=[2, 30], refine=False)
-    fine = segment_population(ds, cv_threshold=100.0, size_grid=[2, 30], refine=True)
-    # identical consumers: size 2 already qualifies, refine cannot do worse
-    assert coarse.groups[0].size == 2
-    assert fine.groups[0].size == 2
+    seg = segment_population(ds, cv_threshold=100.0, size_grid=[2, 30])
+    # identical consumers: size 2 already qualifies
+    assert seg.groups[0].size == 2
+
+
+def test_segment_bracket_scan_matches_brute_force(synth_medium):
+    # The optimal-group CV is not monotone in size here (14.6 at 10, 17.0 at 20,
+    # 14.0 at 30), so only a scan of every size between the grid points finds
+    # the smallest qualifying group.
+    stats = consumer_stats(synth_medium, "train")
+    for k in range(3, 200):
+        smallest = solve_min_lambda(stats, k).selection
+        if backtest_cv(synth_medium, smallest) <= 10.0:
+            break
+    else:
+        pytest.fail("no size in 3..199 meets the threshold")
+    seg = segment_population(synth_medium, cv_threshold=10.0, size_grid=[2, 200])
+    assert seg.groups[0].size == k
+    assert np.array_equal(seg.groups[0].members.bits, smallest.bits)
+
+
+def _vacant_in_validate(ds, vacant):
+    """A copy of ds where every consumer for which vacant(id) holds uses nothing after training."""
+    consumers = []
+    for c in ds.consumers:
+        usage = c.usage.values.copy()
+        if vacant(c.consumer_id):
+            usage[ds.train_days :] = 0.0
+        consumers.append(ConsumerSeries(c.consumer_id, HourlyMatrix(usage, c.usage.start_date)))
+    return Dataset(tuple(consumers), ds.prices, ds.train_days, ds.validate_days)
+
+
+def test_segment_skips_groups_vacant_in_validate_window():
+    ds = synth_population(SynthSpec(n_consumers=40, n_days=40, seed=3))
+    seg = segment_population(_vacant_in_validate(ds, lambda cid: cid.startswith("night")),
+                             cv_threshold=10.0)
+    union = np.zeros(ds.n_consumers, dtype=int)
+    for g in seg.groups:
+        union += g.members.bits.astype(int)
+    assert np.all(union == 1)
+
+
+def test_segment_leftover_vacant_in_validate_window_is_named():
+    ds = synth_population(SynthSpec(n_consumers=40, n_days=40, seed=3))
+    with pytest.raises(ValueError, match="leftover group of 40 .* validate window"):
+        segment_population(_vacant_in_validate(ds, lambda cid: True), cv_threshold=10.0)
 
 
 def test_segmentation_result_validates_partition():
