@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from . import __version__
 from .costs import consumer_stats
-from .forecast import cv_curve
+from .forecast import MIN_TRAIN_DAYS, cv_curve
 from .ingest import (
     DEFAULT_TRAIN_SPLIT,
     SynthSpec,
@@ -67,7 +67,8 @@ class _Param:
 _PARAMS = (
     _Param("out_dir", None, ".", "output directory", _ALL),
     _Param("config", None, None, "JSON config file; flags override its keys", _ALL),
-    _Param("gamma", float, DEFAULT_GAMMA, "solver tolerance in cents/kWh", _DATA,
+    _Param("gamma", float, DEFAULT_GAMMA, "solver tolerance in cents/kWh",
+           ("solve", "curves", "segment"),
            check=(lambda v: v > 0, "gamma must be > 0")),
     _Param("seed", int, 0, "master random seed", _ALL,
            check=(lambda v: v >= 0, "seed must be >= 0")),
@@ -183,10 +184,24 @@ def _check_validate_window(params):
         raise ValueError("split must be < 1: the validate window would be empty")
 
 
+class _UsageError(ValueError):
+    """A parameter that only the loaded data shows to be unusable (exit 2, not 1)."""
+
+
 def _load_dataset(params) -> Dataset:
     consumers = load_meter_csv(params["meter"])
     prices = load_price_csv(params["prices"])
     return align(consumers, prices, params["split"])
+
+
+def _load_split_dataset(params) -> Dataset:
+    """Load, then reject a split that leaves no validate day or too few training days."""
+    dataset = _load_dataset(params)
+    if dataset.validate_days < 1:
+        raise _UsageError("validate window is empty")
+    if dataset.train_days < MIN_TRAIN_DAYS:
+        raise _UsageError(f"training window too short: need at least {MIN_TRAIN_DAYS} days")
+    return dataset
 
 
 def _write_text(path: Path, text: str):
@@ -228,7 +243,7 @@ def _run_solve(params):
     dataset = _load_dataset(params)
     if params["m"] > dataset.n_consumers:
         raise ValueError(f"m={params['m']} exceeds population size {dataset.n_consumers}")
-    stats = consumer_stats(dataset, "train")
+    stats = consumer_stats(dataset)
     result = solve_min_lambda(stats, params["m"], params["gamma"])
     bits = result.selection.bits
     certificate = float((stats.t - result.lambda_star * stats.w)[bits].sum())
@@ -249,11 +264,11 @@ def _run_solve(params):
 
 
 def _run_curves(params):
-    dataset = _load_dataset(params)
+    dataset = _load_split_dataset(params)
     sizes = params["sizes"] or default_size_grid(dataset.n_consumers, smallest=1)
     if sizes[-1] > dataset.n_consumers:
         raise ValueError(f"largest size {sizes[-1]} exceeds population {dataset.n_consumers}")
-    stats = consumer_stats(dataset, "train")
+    stats = consumer_stats(dataset)
 
     lam_points = lambda_curve(stats, sizes, params["gamma"])
     lam_rows = [f"{m},{lam:.9f}" for m, lam in lam_points]
@@ -282,7 +297,7 @@ def _run_curves(params):
 
 
 def _run_segment(params):
-    dataset = _load_dataset(params)
+    dataset = _load_split_dataset(params)
     result = segment_population(
         dataset,
         cv_threshold=params["cv_threshold"],
@@ -290,7 +305,7 @@ def _run_segment(params):
         gamma=params["gamma"],
         leftover_policy=params["policy"],
     )
-    stats = consumer_stats(dataset, "train")
+    stats = consumer_stats(dataset)
     audit = stability_audit(result, stats, params["gamma"])
     consumer_ids = dataset.consumer_ids
 
@@ -360,7 +375,7 @@ def _read_selection_ids(path) -> list[str]:
 
 
 def _run_simulate(params):
-    dataset = _load_dataset(params)
+    dataset = _load_split_dataset(params)
     selection = None
     if params["selection"] is not None:
         ids = _read_selection_ids(params["selection"])
@@ -423,7 +438,7 @@ def main(argv=None) -> int:
         execute(params)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
     return 0
 
 

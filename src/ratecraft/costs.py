@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .types import HOURS, CostStats, Dataset, ForecastErrorModel, SelectionVector, WindowName
+from .types import HOURS, CostStats, Dataset, ForecastErrorModel, SelectionVector
 
 SettlementDesign = Literal["two_sided", "one_sided"]
 
@@ -61,25 +61,22 @@ class DailySettlement:
             object.__setattr__(self, name, arr)
 
 
-def consumer_stats(dataset: Dataset, window: WindowName = "train") -> CostStats:
+def consumer_stats(dataset: Dataset) -> CostStats:
     """Per-consumer price-weighted usage t_i (cents) and total usage w_i (kWh).
 
-    t_i sums day-ahead price times consumption over every hour of the window;
-    w_i is the consumer's total kWh over the same window. A consumer with no
-    usage in the window has no rate, so that raises, naming the first few.
+    t_i sums day-ahead price times consumption over every training-window hour;
+    w_i is the consumer's total kWh over the same hours. A consumer with no
+    usage there has no rate, so that raises, naming the first few.
     """
-    sl = dataset.window_slice(window)
-    if sl.stop - sl.start == 0:
-        raise ValueError(f"{window} window is empty")
-    prices = dataset.prices.day_ahead.values[sl].ravel()
-    flat = dataset.usage_stack[:, sl, :].reshape(dataset.n_consumers, -1)
+    prices = dataset.prices.day_ahead.values[: dataset.train_days].ravel()
+    flat = dataset.usage_stack[:, : dataset.train_days].reshape(dataset.n_consumers, -1)
     t = flat @ prices
     w = flat.sum(axis=1)
     idle = np.flatnonzero(w <= 0)
     if idle.size:
         ids = dataset.consumer_ids
         named = ", ".join(ids[i] for i in idle[:5])
-        raise ValueError(f"{idle.size} consumer(s) have no usage in the {window} window: {named}")
+        raise ValueError(f"{idle.size} consumer(s) have no usage in the train window: {named}")
     return CostStats(t=t, w=w)
 
 
@@ -204,9 +201,6 @@ def expected_penalty(
     return float(np.sum(p * delta + q_mean * tail))
 
 
-def mean_real_time_price(dataset: Dataset, window: WindowName = "train") -> np.ndarray:
-    """Per-hour mean of real-time prices over the window, the E[q] estimate."""
-    sl = dataset.window_slice(window)
-    if sl.stop - sl.start == 0:
-        raise ValueError(f"{window} window is empty")
-    return dataset.prices.real_time.values[sl].mean(axis=0)
+def mean_real_time_price(dataset: Dataset) -> np.ndarray:
+    """Per-hour mean of real-time prices over the training window, the E[q] estimate."""
+    return dataset.prices.real_time.values[: dataset.train_days].mean(axis=0)

@@ -207,23 +207,15 @@ def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
     return cv(actual.ravel(), preds.ravel())
 
 
-def estimate_error_sigma(
-    dataset: Dataset, u: SelectionVector, window: str = "train"
-) -> ForecastErrorModel:
+def estimate_error_sigma(dataset: Dataset, u: SelectionVector) -> ForecastErrorModel:
     """Per-hour standard deviation of the fitted forecaster's residuals.
 
-    window="train" uses one-step-ahead predictions inside the training window
-    (after the AR warm-up); window="validate" uses the held-out days.
+    The residuals are the one-step-ahead errors inside the training window,
+    after the AR warm-up; held-out days never enter.
     """
     profile = group_profile(dataset, u)
     model = fit_profile(profile, dataset.train_days, dataset.start_weekday, DEFAULT_AR_ORDER)
-    if window == "train":
-        start, stop = model.order, dataset.train_days
-    elif window == "validate":
-        start, stop = dataset.train_days, dataset.n_days
-    else:
-        raise ValueError(f"unknown residual window {window!r}")
-    return residual_sigma(profile, model, start, stop, dataset.start_weekday)
+    return residual_sigma(profile, model, model.order, dataset.train_days, dataset.start_weekday)
 
 
 def residual_sigma(
@@ -257,7 +249,7 @@ def cv_curve(
     if n_random_trials < 1:
         raise ValueError("n_random_trials must be >= 1")
     n = dataset.n_consumers
-    stats = consumer_stats(dataset, "train")
+    stats = consumer_stats(dataset)
     points: list[CvPoint] = []
     bands: dict[int, tuple[float, float]] = {}
     for s_idx, m in enumerate(sizes):

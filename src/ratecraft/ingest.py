@@ -220,6 +220,13 @@ def _price_peak() -> np.ndarray:
     return np.exp(-((hours - 18.0) ** 2) / 8.0)
 
 
+def _train_days(split: float, total_days: int) -> int:
+    """round(split * total_days), halves up: the leading days that form the training window."""
+    if not (0.0 < split <= 1.0):
+        raise ValueError("split must be in (0, 1]")
+    return int(split * total_days + 0.5)
+
+
 def synth_population(spec: SynthSpec, split: float = DEFAULT_TRAIN_SPLIT) -> Dataset:
     """Generate a deterministic archetype population with aligned prices.
 
@@ -238,6 +245,7 @@ def synth_population(spec: SynthSpec, split: float = DEFAULT_TRAIN_SPLIT) -> Dat
     """
     rng = np.random.default_rng(spec.seed)
     n, days = spec.n_consumers, spec.n_days
+    train = _train_days(split, days)
 
     if spec.noise_cv > 0:
         log_sd = float(np.sqrt(np.log1p(spec.noise_cv**2)))
@@ -263,7 +271,6 @@ def synth_population(spec: SynthSpec, split: float = DEFAULT_TRAIN_SPLIT) -> Dat
     rt = np.round(np.maximum(da + rt_noise, 0.0), 4)
     prices = PriceSeries(HourlyMatrix(da, start), HourlyMatrix(rt, start))
 
-    train = int(split * days + 0.5)
     return Dataset(tuple(consumers), prices, train_days=train, validate_days=days - train)
 
 
@@ -275,8 +282,6 @@ def align(consumers: list[ConsumerSeries], prices: PriceSeries, split: float) ->
     """
     if not consumers:
         raise ValueError("no consumers to align")
-    if not (0.0 < split <= 1.0):
-        raise ValueError("split must be in (0, 1]")
     start = max([c.usage.start_date for c in consumers] + [prices.start_date])
     end = min([c.usage.end_date for c in consumers] + [prices.day_ahead.end_date])
     if start > end:
@@ -289,5 +294,5 @@ def align(consumers: list[ConsumerSeries], prices: PriceSeries, split: float) ->
 
     cut_consumers = tuple(ConsumerSeries(c.consumer_id, cut(c.usage)) for c in consumers)
     cut_prices = PriceSeries(cut(prices.day_ahead), cut(prices.real_time))
-    train = int(split * total + 0.5)
+    train = _train_days(split, total)
     return Dataset(cut_consumers, cut_prices, train_days=train, validate_days=total - train)

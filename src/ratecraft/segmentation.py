@@ -184,6 +184,8 @@ def segment_population(
     """
     if cv_threshold <= 0:
         raise ValueError("cv_threshold must be positive")
+    if leftover_policy not in ("aggregate", "drop"):
+        raise ValueError(f"unknown leftover policy {leftover_policy!r}")
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
     if size_grid is None:
@@ -194,7 +196,7 @@ def segment_population(
     if size_grid[0] < 1:
         raise ValueError("size grid entries must be >= 1")
 
-    stats = consumer_stats(dataset, "train")
+    stats = consumer_stats(dataset)
     has_validate_usage = dataset.usage_stack[:, dataset.train_days :].any(axis=(1, 2))
     pool = np.arange(dataset.n_consumers)
     groups: list[SegmentGroup] = []

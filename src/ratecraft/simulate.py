@@ -71,7 +71,7 @@ def replay_validate(
     profile = group_profile(dataset, selection)
     model = fit_profile(profile, train_days, start_weekday, DEFAULT_AR_ORDER)
     error_model = residual_sigma(profile, model, model.order, train_days, start_weekday)
-    q_mean = mean_real_time_price(dataset, "train")
+    q_mean = mean_real_time_price(dataset)
     totals = profile.sum(axis=1)
     forecasts = predict_rows(model, totals, train_days, train_days + total_days, start_weekday)
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Literal
+from typing import Iterable
 
 import numpy as np
 
 HOURS = 24
-
-WindowName = Literal["train", "validate", "all"]
 
 
 def _readonly_array(values, dtype=np.float64) -> np.ndarray:
@@ -177,15 +175,6 @@ class Dataset:
         stack = np.stack([c.usage.values for c in self.consumers])
         stack.setflags(write=False)
         return stack
-
-    def window_slice(self, window: WindowName) -> slice:
-        if window == "train":
-            return slice(0, self.train_days)
-        if window == "validate":
-            return slice(self.train_days, self.n_days)
-        if window == "all":
-            return slice(0, self.n_days)
-        raise ValueError(f"unknown window {window!r}; expected train, validate or all")
 
     def weekday_of_row(self, row: int) -> int:
         return (self.start_weekday + int(row)) % 7

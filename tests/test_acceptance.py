@@ -93,7 +93,7 @@ def test_criterion_03_transition_point(random_instances):
 
 def test_criterion_04_lambda_curve_monotone(population_2000):
     start = time.perf_counter()
-    stats = consumer_stats(population_2000, "train")
+    stats = consumer_stats(population_2000)
     sizes = [int(s) for s in np.ceil(np.logspace(0, np.log10(2000), 20))]
     sizes[-1] = 2000  # pin the endpoint to the population size
     assert len(set(sizes)) == 20
@@ -109,7 +109,7 @@ def test_criterion_04_lambda_curve_monotone(population_2000):
 
 
 def test_criterion_05_rate_spread(population_2000):
-    stats = consumer_stats(population_2000, "train")
+    stats = consumer_stats(population_2000)
     ratios = stats.ratios
     spread = float(ratios.max() / ratios.min())
     top = np.argsort(ratios)[-(population_2000.n_consumers // 10):]
@@ -213,7 +213,7 @@ def test_criterion_10_stability():
             SynthSpec(n_consumers=300, n_days=60, fraction_peaky=0.5, noise_cv=0.35, seed=seed)
         )
         seg = segment_population(ds, cv_threshold=8.0, size_grid=[10, 25, 50, 100, 300])
-        report = stability_audit(seg, consumer_stats(ds, "train"), GAMMA)
+        report = stability_audit(seg, consumer_stats(ds), GAMMA)
         clean_ok = clean_ok and report.ok
 
     # deliberately corrupted assignment: a cheap consumer parked in round 2

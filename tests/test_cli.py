@@ -68,7 +68,7 @@ def test_solve_matches_committed_oracle_fixture(tmp_path, capsys):
     assert selection[1:] == fixture["member_ids"]
     # guard against fixture drift: recompute the oracle live
     ds = align(load_meter_csv(METER), load_price_csv(PRICES), fixture["split"])
-    oracle = brute_force_min_lambda(consumer_stats(ds, "train"), fixture["m"])
+    oracle = brute_force_min_lambda(consumer_stats(ds), fixture["m"])
     assert oracle.lambda_star == pytest.approx(fixture["lambda_star"], rel=1e-12)
 
 
@@ -89,7 +89,7 @@ def test_solve_m1_returns_cheapest_consumer(tmp_path, capsys):
     lam = float([l for l in out.splitlines() if l.startswith("lambda_star=")][0]
                 .split("=")[1].split()[0])
     ds = align(load_meter_csv(METER), load_price_csv(PRICES), 0.75)
-    stats = consumer_stats(ds, "train")
+    stats = consumer_stats(ds)
     ratios = stats.t / stats.w
     cheapest = int(ratios.argmin())
     assert lam == pytest.approx(float(ratios.min()), abs=2e-6)
@@ -104,7 +104,7 @@ def test_solve_full_population_average(tmp_path, capsys):
     lam = float([l for l in out.splitlines() if l.startswith("lambda_star=")][0]
                 .split("=")[1].split()[0])
     ds = align(load_meter_csv(METER), load_price_csv(PRICES), 0.75)
-    stats = consumer_stats(ds, "train")
+    stats = consumer_stats(ds)
     assert lam == pytest.approx(float(stats.t.sum() / stats.w.sum()), abs=2e-6)
 
 
@@ -134,6 +134,27 @@ def test_split_one_leaves_no_validate_window_and_is_usage_error(tmp_path, capsys
     assert rc == 2
     assert "validate window would be empty" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, days, split, message", [
+    ("segment", None, "0.99", "validate window is empty"),
+    ("curves", 12, None, "training window too short: need at least 14 days"),
+    ("segment", 12, None, "training window too short: need at least 14 days"),
+    ("simulate", 12, None, "training window too short: need at least 14 days"),
+])
+def test_unusable_windows_after_loading_are_usage_errors(
+    tmp_path, capsys, command, days, split, message
+):
+    meter, prices = METER, PRICES
+    if days is not None:
+        assert main(_synth_args(tmp_path / "data", days=days)) == 0
+        meter, prices = str(tmp_path / "data" / "meter.csv"), str(tmp_path / "data" / "prices.csv")
+    args = [command, "--meter", meter, "--prices", prices, "--out-dir", str(tmp_path / "out")]
+    if split is not None:
+        args += ["--split", split]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
@@ -228,6 +249,13 @@ def test_simulate_with_selection_file(tmp_path, capsys):
         "--selection", str(tmp_path / "selection.csv"), "--out-dir", str(tmp_path),
     ])
     assert rc == 0
+
+
+def test_simulate_takes_no_gamma(tmp_path, capsys):
+    rc = main(["simulate", "--meter", METER, "--prices", PRICES, "--gamma", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "--gamma" in capsys.readouterr().err
 
 
 def test_simulate_unknown_selection_ids(tmp_path, capsys):

@@ -45,7 +45,7 @@ def _flat_sigma(value, hour=0):
 def test_consumer_stats_flat_price():
     usage = np.full((1, 24), 10.0 / 24.0)
     ds = make_dataset([usage], da=np.full(24, 3.0))
-    stats = consumer_stats(ds, "train")
+    stats = consumer_stats(ds)
     assert stats.t[0] == pytest.approx(30.0, rel=1e-12)
     assert stats.w[0] == pytest.approx(10.0, rel=1e-12)
     assert individual_lambda(stats, 0) == pytest.approx(3.0, rel=1e-12)
@@ -69,7 +69,7 @@ def test_consumer_stats_matches_naive_summation():
     usages = [rng.uniform(0.0, 2.0, (5, 24)) for _ in range(4)]
     da = rng.uniform(1.0, 6.0, (5, 24))
     ds = make_dataset(usages, da=da, train_days=5)
-    stats = consumer_stats(ds, "train")
+    stats = consumer_stats(ds)
     for i, usage in enumerate(usages):
         t_naive = 0.0
         w_naive = 0.0
@@ -86,15 +86,7 @@ def test_consumer_stats_window_selection():
     da = np.ones((4, 24))
     da[2:] = 5.0
     ds = make_dataset([usage], da=da, train_days=2)
-    assert consumer_stats(ds, "train").t[0] == pytest.approx(48.0)
-    assert consumer_stats(ds, "validate").t[0] == pytest.approx(240.0)
-    assert consumer_stats(ds, "all").t[0] == pytest.approx(288.0)
-
-
-def test_consumer_stats_empty_window():
-    ds = make_dataset([np.ones((2, 24))], da=np.ones(24), train_days=2)
-    with pytest.raises(ValueError, match="validate window is empty"):
-        consumer_stats(ds, "validate")
+    assert consumer_stats(ds).t[0] == pytest.approx(48.0)
 
 
 def test_consumer_stats_names_consumers_idle_in_window():
@@ -106,8 +98,7 @@ def test_consumer_stats_names_consumers_idle_in_window():
         ids=["busy", "late-1", "late-2"],
     )
     with pytest.raises(ValueError, match="2 consumer.*no usage in the train window: late-1, late-2"):
-        consumer_stats(ds, "train")
-    assert consumer_stats(ds, "validate").n == 3
+        consumer_stats(ds)
 
 
 def test_individual_lambda_flat_price_identity():
@@ -134,7 +125,7 @@ def test_group_lambda_weighted_mean():
 
 
 def test_group_lambda_whole_population_oracle(synth_small):
-    stats = consumer_stats(synth_small, "train")
+    stats = consumer_stats(synth_small)
     sel = SelectionVector.from_indices(stats.n, range(stats.n))
     prices = synth_small.prices.day_ahead.values[: synth_small.train_days]
     total_cost = 0.0
@@ -361,5 +352,4 @@ def test_expected_penalty_beats_naive_plan():
 def test_mean_real_time_price():
     rt = np.vstack([np.full(24, 2.0), np.full(24, 4.0), np.full(24, 9.0)])
     ds = make_dataset([np.ones((3, 24))], da=np.ones((3, 24)), rt=rt, train_days=2)
-    assert np.allclose(mean_real_time_price(ds, "train"), 3.0)
-    assert np.allclose(mean_real_time_price(ds, "validate"), 9.0)
+    assert np.allclose(mean_real_time_price(ds), 3.0)

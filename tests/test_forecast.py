@@ -16,6 +16,7 @@ from ratecraft.forecast import (
     group_profile,
     predict_day,
     predict_rows,
+    residual_sigma,
 )
 from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.types import SelectionVector
@@ -238,20 +239,21 @@ def test_forecaster_roughly_unbiased(synth_medium):
 
 def test_estimate_error_sigma_zero_noise():
     ds = synth_population(SynthSpec(n_consumers=4, n_days=30, noise_cv=0.0, seed=3))
-    em = estimate_error_sigma(ds, _everyone(ds), window="train")
+    em = estimate_error_sigma(ds, _everyone(ds))
     assert np.all(em.sigma <= 1e-9)
 
 
 def test_estimate_error_sigma_windows(synth_medium):
     sel = _everyone(synth_medium)
-    train_sigma = estimate_error_sigma(synth_medium, sel, window="train")
-    val_sigma = estimate_error_sigma(synth_medium, sel, window="validate")
+    train_sigma = estimate_error_sigma(synth_medium, sel)
+    val_sigma = residual_sigma(
+        group_profile(synth_medium, sel), fit(synth_medium, sel), synth_medium.train_days,
+        synth_medium.n_days, synth_medium.start_weekday,
+    )
     assert train_sigma.sigma.shape == (24,)
     assert np.all(train_sigma.sigma >= 0)
     # both windows see the same noise process, so scales agree loosely
     assert val_sigma.sigma.sum() == pytest.approx(train_sigma.sigma.sum(), rel=0.5)
-    with pytest.raises(ValueError, match="residual window"):
-        estimate_error_sigma(synth_medium, sel, window="lastweek")
 
 
 # -- cv_curve ---------------------------------------------------------------------

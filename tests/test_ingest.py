@@ -205,6 +205,15 @@ def test_align_split_rounding():
     assert ds.validate_days == 3
 
 
+def test_split_out_of_range_is_rejected():
+    with pytest.raises(ValueError, match=r"split must be in \(0, 1\]"):
+        synth_population(SynthSpec(n_consumers=2, n_days=10), split=1.5)
+    consumers = [ConsumerSeries("a", _series(dt.date(2021, 1, 1), 4))]
+    prices = PriceSeries(_series(dt.date(2021, 1, 1), 4, 3.0), _series(dt.date(2021, 1, 1), 4, 3.0))
+    with pytest.raises(ValueError, match=r"split must be in \(0, 1\]"):
+        align(consumers, prices, split=0.0)
+
+
 def test_align_disjoint():
     consumers = [ConsumerSeries("a", _series(dt.date(2021, 1, 1), 3))]
     prices = PriceSeries(_series(dt.date(2021, 2, 1), 3, 3.0), _series(dt.date(2021, 2, 1), 3, 3.0))

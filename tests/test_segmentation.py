@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ratecraft import segmentation
 from ratecraft.costs import consumer_stats, group_lambda
 from ratecraft.forecast import CvCurve, CvPoint, backtest_cv
 from ratecraft.ingest import SynthSpec, synth_population
@@ -105,7 +106,7 @@ def test_segment_deterministic(synth_medium):
 
 
 def test_segment_rates_above_remaining_minimum(synth_medium):
-    stats = consumer_stats(synth_medium, "train")
+    stats = consumer_stats(synth_medium)
     seg = segment_population(synth_medium, cv_threshold=8.0, size_grid=[10, 50, 200])
     remaining = np.ones(synth_medium.n_consumers, dtype=bool)
     for g in seg.groups:
@@ -142,7 +143,7 @@ def test_segment_bracket_scan_matches_brute_force(synth_medium):
     # The optimal-group CV is not monotone in size here (14.6 at 10, 17.0 at 20,
     # 14.0 at 30), so only a scan of every size between the grid points finds
     # the smallest qualifying group.
-    stats = consumer_stats(synth_medium, "train")
+    stats = consumer_stats(synth_medium)
     for k in range(3, 200):
         smallest = solve_min_lambda(stats, k).selection
         if backtest_cv(synth_medium, smallest) <= 10.0:
@@ -181,6 +182,20 @@ def test_segment_leftover_vacant_in_validate_window_is_named():
         segment_population(_vacant_in_validate(ds, lambda cid: True), cv_threshold=10.0)
 
 
+def test_segment_rejects_unknown_policy_before_any_solve(monkeypatch):
+    ds = synth_population(SynthSpec(n_consumers=200, n_days=60, seed=1))
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_min_lambda(*args, **kwargs)
+
+    monkeypatch.setattr(segmentation, "solve_min_lambda", counting_solve)
+    with pytest.raises(ValueError, match="unknown leftover policy 'bogus'"):
+        segment_population(ds, cv_threshold=10.0, leftover_policy="bogus")
+    assert solves == []
+
+
 def test_segmentation_result_validates_partition():
     a = SelectionVector.from_indices(4, [0, 1])
     overlapping = SelectionVector.from_indices(4, [1, 2])
@@ -195,7 +210,7 @@ def test_segmentation_result_validates_partition():
 
 
 def test_stability_audit_clean_on_solver_output(synth_medium):
-    stats = consumer_stats(synth_medium, "train")
+    stats = consumer_stats(synth_medium)
     seg = segment_population(synth_medium, cv_threshold=8.0, size_grid=[10, 25, 50, 100, 200])
     report = stability_audit(seg, stats, GAMMA)
     assert report.ok

@@ -89,13 +89,8 @@ def _tiny_dataset(train=2, validate=1):
     return Dataset((ConsumerSeries("a", usage),), prices, train, validate)
 
 
-def test_dataset_window_slices():
+def test_dataset_row_weekdays():
     ds = _tiny_dataset(train=2, validate=1)
-    assert ds.window_slice("train") == slice(0, 2)
-    assert ds.window_slice("validate") == slice(2, 3)
-    assert ds.window_slice("all") == slice(0, 3)
-    with pytest.raises(ValueError, match="unknown window"):
-        ds.window_slice("test")
     assert ds.start_weekday == 0  # Monday
     assert ds.weekday_of_row(8) == 1
 
