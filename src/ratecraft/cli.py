@@ -6,11 +6,12 @@ choices, range check and the subcommands that take its flag. The table builds
 each subcommand's parser, and it resolves every value as CLI flag > JSON
 config file (--config, keys mirror flag names with underscores) > built-in
 default before checking it; the defaults are visible in each subcommand's
---help. All randomized procedures derive their streams from the single
---seed. Output files are written atomically (unique temp file + rename) with
-fixed numeric formatting, so re-running a command with identical flags and
-seed yields byte-identical files. Exit codes: 0 success, 2 usage error, 1
-runtime error.
+--help. An unknown config key, or a config value that its parameter's type
+would reject or change, is a usage error. All randomized procedures derive
+their streams from the single --seed. Output files are written atomically
+(unique temp file + rename) with fixed numeric formatting, so re-running a
+command with identical flags and seed yields byte-identical files. Exit
+codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -127,13 +128,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path) -> dict:
+    """The config file's values by parameter name, converted as their flags would be."""
     if path is None:
         return {}
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
+    params = {p.name: p for p in _PARAMS}
+    for key, value in cfg.items():
+        if key not in params:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        if params[key].type is not None:
+            cfg[key] = _config_value(path, key, params[key].type, value)
     return cfg
+
+
+def _config_value(path, key: str, kind: type, value):
+    """`value` as `kind`, refused if it fails to convert or would change (a bool, 2.7 as int)."""
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or isinstance(value, bool) or (
+            isinstance(value, float) and converted != value):
+        raise ValueError(f"{path}: config key {key!r}: expected {kind.__name__}, got {value!r}")
+    return converted
 
 
 def _resolve(command: str, args, cfg: dict) -> dict:
@@ -144,8 +164,6 @@ def _resolve(command: str, args, cfg: dict) -> dict:
         value = getattr(args, p.name, None)
         if value is None:
             value = cfg.get(p.name, p.default)
-        if value is not None and p.type is not None:
-            value = p.type(value)
         params[p.name] = value
     for p in params_of:
         value = params[p.name]
@@ -371,7 +389,15 @@ def _read_selection_ids(path) -> list[str]:
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "consumer_id":
         raise ValueError(f"{path}: expected a selection CSV with header consumer_id")
-    return [line for line in lines[1:] if line]
+    ids = [line for line in lines[1:] if line]
+    if not ids:
+        raise ValueError(f"{path}: no consumer ids")
+    seen = set()
+    for cid in ids:
+        if cid in seen:
+            raise ValueError(f"{path}: duplicate consumer id {cid}")
+        seen.add(cid)
+    return ids
 
 
 def _run_simulate(params):
@@ -382,7 +408,8 @@ def _run_simulate(params):
         index = {cid: i for i, cid in enumerate(dataset.consumer_ids)}
         missing = [cid for cid in ids if cid not in index]
         if missing:
-            raise ValueError(f"selection ids not in dataset: {', '.join(missing[:5])}")
+            raise ValueError(f"{params['selection']}: selection ids not in dataset: "
+                             f"{', '.join(missing[:5])}")
         selection = SelectionVector.from_indices(dataset.n_consumers, [index[c] for c in ids])
     report = replay_validate(
         dataset, selection=selection, design=params["design"], n_days=params["days_limit"]

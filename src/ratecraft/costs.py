@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .types import HOURS, CostStats, Dataset, ForecastErrorModel, SelectionVector
 
@@ -24,6 +24,10 @@ SettlementDesign = Literal["two_sided", "one_sided"]
 RHO_MIN = 1e-6
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# The standard normal: inv_cdf is Wichura's AS 241 quantile, and cdf is
+# 0.5 * (1 + erf(x / sqrt 2)).
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ def realized_rate(costs: Sequence[float], demands: Sequence[float]) -> float:
 
 def _optimal_adjustment(sigma: np.ndarray, p: np.ndarray, q_mean: np.ndarray) -> np.ndarray:
     rho = np.clip(p / q_mean, RHO_MIN, 1.0 - RHO_MIN)
-    return sigma * ndtri(1.0 - rho)
+    return sigma * np.array([_STANDARD_NORMAL.inv_cdf(x) for x in 1.0 - rho])
 
 
 def _validate_price_inputs(p, q_mean):
@@ -147,6 +151,10 @@ def _validate_price_inputs(p, q_mean):
     q_mean = np.asarray(q_mean, dtype=np.float64)
     if p.shape != (HOURS,) or q_mean.shape != (HOURS,):
         raise ValueError(f"prices must be {HOURS}-vectors")
+    if not np.isfinite(p).all():
+        raise ValueError("day-ahead prices must be finite in every hour")
+    if not np.isfinite(q_mean).all():
+        raise ValueError("expected real-time price must be finite in every hour")
     if np.any(p < 0):
         raise ValueError("day-ahead prices must be nonnegative")
     if np.any(q_mean <= 0):
@@ -172,6 +180,8 @@ def newsvendor_purchase(
     forecast = np.asarray(forecast, dtype=np.float64)
     if forecast.shape != (HOURS,):
         raise ValueError(f"forecast must be a {HOURS}-vector")
+    if not np.isfinite(forecast).all():
+        raise ValueError("forecast must be finite in every hour")
     delta = _optimal_adjustment(error_model.sigma, p, q_mean)
     purchase = np.maximum(forecast + delta, 0.0)
     return PurchasePlan(forecast=forecast, adjustment=delta, purchase=purchase)
@@ -197,7 +207,8 @@ def expected_penalty(
     if np.any(pos):
         z = delta[pos] / sigma[pos]
         phi = np.exp(-0.5 * z * z) / _SQRT_2PI
-        tail[pos] = sigma[pos] * phi - delta[pos] * (1.0 - ndtr(z))
+        cdf = np.array([_STANDARD_NORMAL.cdf(x) for x in z])
+        tail[pos] = sigma[pos] * phi - delta[pos] * (1.0 - cdf)
     return float(np.sum(p * delta + q_mean * tail))
 
 

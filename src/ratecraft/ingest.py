@@ -82,6 +82,13 @@ def _parse_hours(cells: list[str], lineno: int, path: str) -> np.ndarray:
     return values
 
 
+def _check_consumer_id(cid: str, lineno: int, path: str):
+    """Refuse an id the CLI could not write back as one plain CSV field."""
+    if any(c in cid for c in ',"\r\n'):
+        raise ValueError(f"{path}: consumer id {cid!r} at row {lineno} contains a comma, "
+                         "quote or line break")
+
+
 def _check_consecutive(dates: list[dt.date], label: str):
     for prev, cur in zip(dates, dates[1:]):
         expected = prev + dt.timedelta(days=1)
@@ -110,7 +117,11 @@ def load_meter_csv(path) -> list[ConsumerSeries]:
             cid = row[0]
             date = _parse_date(row[1], lineno, path)
             values = _parse_hours(row[2:], lineno, path)
-            rows_by_consumer.setdefault(cid, []).append((date, values))
+            day_rows = rows_by_consumer.get(cid)
+            if day_rows is None:
+                _check_consumer_id(cid, lineno, path)
+                day_rows = rows_by_consumer[cid] = []
+            day_rows.append((date, values))
 
     if not rows_by_consumer:
         raise ValueError(f"{path}: no meter rows")

@@ -258,15 +258,21 @@ def test_simulate_takes_no_gamma(tmp_path, capsys):
     assert "--gamma" in capsys.readouterr().err
 
 
-def test_simulate_unknown_selection_ids(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("consumer_id\nghost-1\n", "selection ids not in dataset: ghost-1"),
+    ("consumer_id\n", "no consumer ids"),
+    ("consumer_id\nnight-00006\nnight-00007\nnight-00006\n",
+     "duplicate consumer id night-00006"),
+], ids=["unknown", "empty", "duplicate"])
+def test_simulate_unknown_selection_ids(tmp_path, capsys, text, message):
     bad = tmp_path / "selection.csv"
-    bad.write_text("consumer_id\nghost-1\n")
+    bad.write_text(text)
     rc = main([
         "simulate", "--meter", METER, "--prices", PRICES,
         "--selection", str(bad), "--out-dir", str(tmp_path),
     ])
     assert rc == 1
-    assert "ghost-1" in capsys.readouterr().err
+    assert f"{bad}: {message}" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -284,3 +290,22 @@ def test_config_file_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text("[1, 2]")
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("segment", {"cv-threshold": 1e-9}, "cv-threshold"),
+    ("synth", {"n": 2.7}, "n"),
+    ("synth", {"n": "abc"}, "n"),
+    ("synth", {"n": True}, "n"),
+], ids=["unknown-key", "fractional-int", "not-a-number", "bool"])
+def test_config_file_is_checked_before_use(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    if command == "synth":
+        argv = ["synth", "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["segment", "--meter", METER, "--prices", PRICES, "--out-dir", str(tmp_path)]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: " in err
+    assert f"config key {key!r}" in err

@@ -1,12 +1,18 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from conftest import make_dataset
 from ratecraft.costs import (
+    RHO_MIN,
+    _optimal_adjustment,
     consumer_stats,
     expected_penalty,
     group_lambda,
@@ -284,6 +290,23 @@ def test_newsvendor_rejects_nonpositive_rt_price():
         newsvendor_purchase(np.zeros(24), _flat_sigma(1.0), np.full(24, 1.0), q)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name, label", [
+    ("forecast", "forecast"),
+    ("p", "day-ahead prices"),
+    ("q_mean", "expected real-time price"),
+])
+def test_purchase_rejects_non_finite_inputs(name, label, value):
+    inputs = {"forecast": np.full(24, 2.0), "p": np.full(24, 3.0), "q_mean": np.full(24, 5.0)}
+    inputs[name][7] = value
+    model = _flat_sigma(1.0, hour=7)
+    with pytest.raises(ValueError, match=f"{label} must be finite"):
+        newsvendor_purchase(inputs["forecast"], model, inputs["p"], inputs["q_mean"])
+    if name != "forecast":
+        with pytest.raises(ValueError, match=f"{label} must be finite"):
+            expected_penalty(model, inputs["p"], inputs["q_mean"])
+
+
 @given(p1=st.floats(0.1, 10.0), p2=st.floats(0.1, 10.0))
 def test_newsvendor_monotone_in_day_ahead_price(p1, p2):
     lo, hi = sorted([p1, p2])
@@ -347,6 +370,37 @@ def test_expected_penalty_beats_naive_plan():
         at_optimum = expected_penalty(_flat_sigma(sigma_h), pv, qv)
         naive = q * sigma_h / math.sqrt(2.0 * math.pi)  # p*0 + q*E[(-eps)+]
         assert at_optimum <= naive + 1e-12
+
+
+def test_normal_quantile_and_cdf_match_scipy_reference():
+    # the standard-library quantile and CDF against scipy.special's ndtri and ndtr,
+    # over both clipped ends of p/E[q], the interior and hours with sigma 0
+    rng = np.random.default_rng(2013)
+    for _ in range(1000):
+        sigma = rng.uniform(0.0, 20.0, 24) * (rng.random(24) > 0.1)
+        q = rng.uniform(0.5, 20.0, 24)
+        p = q * rng.uniform(0.0, 1.2, 24) * (rng.random(24) > 0.05)
+        ref_delta = sigma * ndtri(1.0 - np.clip(p / q, RHO_MIN, 1.0 - RHO_MIN))
+        delta = _optimal_adjustment(sigma, p, q)
+        assert np.all(np.abs(delta - ref_delta) <= 1e-14 * sigma)
+
+        pos = sigma > 0
+        z = ref_delta[pos] / sigma[pos]
+        tail = np.zeros(24)
+        tail[pos] = (sigma[pos] * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+                     - ref_delta[pos] * (1.0 - ndtr(z)))
+        ref_penalty = float(np.sum(p * ref_delta + q * tail))
+        penalty = expected_penalty(ForecastErrorModel(sigma=sigma), p, q)
+        assert penalty == pytest.approx(ref_penalty, rel=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import ratecraft, ratecraft.cli; print('scipy' in sys.modules)")
+    probe = subprocess.run([sys.executable, "-c", code, str(src)],
+                           capture_output=True, text=True, check=True, timeout=60)
+    assert probe.stdout.strip() == "False"
 
 
 def test_mean_real_time_price():

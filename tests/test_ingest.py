@@ -103,6 +103,19 @@ def test_atomic_write_gives_default_file_mode(tmp_path):
     assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("cid", ['peak,00000', 'say "hi"', "a\rb", "a\nb"])
+def test_meter_rejects_ids_that_break_csv_output(tmp_path, cid):
+    quoted = '"' + cid.replace('"', '""') + '"'
+    rows = [
+        "b,2021-01-04," + _day_cells(1.0),
+        quoted + ",2021-01-04," + _day_cells(1.0),
+    ]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows), newline="")
+    with pytest.raises(ValueError, match=f"{path}: consumer id .* at row 3 contains a comma"):
+        load_meter_csv(path)
+
+
 def test_meter_gap(tmp_path):
     rows = [
         "a,2021-01-01," + _day_cells(1.0),
