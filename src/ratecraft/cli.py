@@ -7,7 +7,8 @@ each subcommand's parser, and it resolves every value as CLI flag > JSON
 config file (--config, keys mirror flag names with underscores) > built-in
 default before checking it; the defaults are visible in each subcommand's
 --help. An unknown config key, or a config value that its parameter's type
-would reject or change, is a usage error. All randomized procedures derive
+would reject or change (a path or choice must be a JSON string, a size list a
+string or a list of ints), is a usage error. All randomized procedures derive
 their streams from the single --seed. Output files are written atomically
 (unique temp file + rename) with fixed numeric formatting, so re-running a
 command with identical flags and seed yields byte-identical files. Exit
@@ -51,7 +52,7 @@ class _Param:
     """One parameter: flag --name with dashes, config and params key name."""
 
     name: str
-    type: Optional[type]  # int or float, applied to flag and config values alike
+    type: type  # int, float or str: converts a flag; a config value must be of this type
     default: object
     help: str
     commands: tuple[str, ...]  # the subcommands that take the flag
@@ -59,6 +60,7 @@ class _Param:
     choices: Optional[tuple[str, ...]] = None
     check: Optional[tuple[Callable, str]] = None  # (valid(value), message if not)
     required: bool = False
+    int_list: bool = False  # a config file may also give a JSON list of ints
 
     @property
     def flag(self) -> str:
@@ -66,15 +68,15 @@ class _Param:
 
 
 _PARAMS = (
-    _Param("out_dir", None, ".", "output directory", _ALL),
-    _Param("config", None, None, "JSON config file; flags override its keys", _ALL),
+    _Param("out_dir", str, ".", "output directory", _ALL),
+    _Param("config", str, None, "JSON config file; flags override its keys", _ALL),
     _Param("gamma", float, DEFAULT_GAMMA, "solver tolerance in cents/kWh",
            ("solve", "curves", "segment"),
            check=(lambda v: v > 0, "gamma must be > 0")),
     _Param("seed", int, 0, "master random seed", _ALL,
            check=(lambda v: v >= 0, "seed must be >= 0")),
-    _Param("meter", None, None, "meter CSV path", _DATA, required=True),
-    _Param("prices", None, None, "price CSV path", _DATA, required=True),
+    _Param("meter", str, None, "meter CSV path", _DATA, required=True),
+    _Param("prices", str, None, "price CSV path", _DATA, required=True),
     _Param("split", float, DEFAULT_TRAIN_SPLIT, "train fraction of days", _DATA,
            config_only=("synth",), check=(lambda v: 0.0 < v <= 1.0, "split must be in (0, 1]")),
     _Param("n", int, 200, "number of consumers", ("synth",)),
@@ -84,19 +86,19 @@ _PARAMS = (
     _Param("noise_cv", float, 0.3, "day-to-day noise coefficient of variation", ("synth",)),
     _Param("m", int, None, "group size", ("solve",), required=True,
            check=(lambda v: v >= 1, "m must be >= 1")),
-    _Param("sizes", None, None, "comma-separated group sizes (default: log-spaced grid)",
-           ("curves",)),
+    _Param("sizes", str, None, "comma-separated group sizes (default: log-spaced grid)",
+           ("curves",), int_list=True),
     _Param("trials", int, 30, "random groups per size", ("curves",),
            check=(lambda v: v >= 1, "trials must be >= 1")),
     _Param("cv_threshold", float, 10.0, "forecast-error limit in percent", ("segment",),
            check=(lambda v: v > 0, "cv-threshold must be > 0")),
-    _Param("policy", None, "aggregate", "leftover policy", ("segment",),
+    _Param("policy", str, "aggregate", "leftover policy", ("segment",),
            choices=("aggregate", "drop")),
-    _Param("size_grid", None, None, "comma-separated candidate sizes (default: log-spaced grid)",
-           ("segment",)),
-    _Param("selection", None, None, "selection CSV of consumer ids (default: everyone)",
+    _Param("size_grid", str, None, "comma-separated candidate sizes (default: log-spaced grid)",
+           ("segment",), int_list=True),
+    _Param("selection", str, None, "selection CSV of consumer ids (default: everyone)",
            ("simulate",)),
-    _Param("design", None, "two_sided", "settlement design", ("simulate",),
+    _Param("design", str, "two_sided", "settlement design", ("simulate",),
            choices=("two_sided", "one_sided")),
     _Param("days_limit", int, None, "replay at most this many validate days", ("simulate",),
            check=(lambda v: v >= 1, "days-limit must be >= 1")),
@@ -139,13 +141,22 @@ def _load_config(path) -> dict:
     for key, value in cfg.items():
         if key not in params:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        if params[key].type is not None:
-            cfg[key] = _config_value(path, key, params[key].type, value)
+        cfg[key] = _config_value(path, params[key], value)
     return cfg
 
 
-def _config_value(path, key: str, kind: type, value):
-    """`value` as `kind`, refused if it fails to convert or would change (a bool, 2.7 as int)."""
+def _config_value(path, param: _Param, value):
+    """`value` as `param.type`, refused if it fails to convert or would change (a bool, 2.7 as int).
+
+    A str parameter takes only a JSON string, and a size list also a JSON list of ints.
+    """
+    key, kind = param.name, param.type
+    if kind is str:
+        if isinstance(value, str) or (param.int_list and isinstance(value, list)
+                                      and all(type(v) is int for v in value)):
+            return value
+        expected = "a string or a list of integers" if param.int_list else "str"
+        raise ValueError(f"{path}: config key {key!r}: expected {expected}, got {value!r}")
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -4,7 +4,13 @@ File formats
 ------------
 Meter CSV: header ``consumer_id,date,h00,...,h23``, one row per consumer-day,
 dates ISO-8601 and consecutive per consumer, values in kWh written with
-exactly 4 fractional digits.
+exactly 4 fractional digits. A consumer id may not hold a comma, a double
+quote or a line break, so that it is always one plain CSV field.
+
+Written lines end in CRLF; LF and CRLF line ends are both read. The meter
+file is read in bulk (ids and dates in one pass over its lines, the values by
+``np.loadtxt``); a file that pass rejects is parsed again row by row, only to
+name the row or consumer at fault.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
 ``#unit=usd_per_mwh``, then header ``date,market,h00,...,h23`` with market
@@ -30,6 +36,9 @@ from .types import HOURS, ConsumerSeries, Dataset, HourlyMatrix, PriceSeries
 _HOUR_COLS = [f"h{h:02d}" for h in range(HOURS)]
 METER_HEADER = ["consumer_id", "date"] + _HOUR_COLS
 PRICE_HEADER = ["date", "market"] + _HOUR_COLS
+_METER_HEADER_LINE = ",".join(METER_HEADER)
+# One written row: two text fields, then 24 values with 4 fractional digits.
+_ROW = "%s,%s," + ",".join(["%.4f"] * HOURS) + "\r\n"
 
 _UNIT_SCALE = {"cents_per_kwh": 1.0, "usd_per_mwh": 0.1}
 
@@ -82,9 +91,14 @@ def _parse_hours(cells: list[str], lineno: int, path: str) -> np.ndarray:
     return values
 
 
+def _breaks_csv(cid: str) -> bool:
+    """True if `cid` holds a comma, a double quote or a line break."""
+    return any(c in cid for c in ',"\r\n')
+
+
 def _check_consumer_id(cid: str, lineno: int, path: str):
     """Refuse an id the CLI could not write back as one plain CSV field."""
-    if any(c in cid for c in ',"\r\n'):
+    if _breaks_csv(cid):
         raise ValueError(f"{path}: consumer id {cid!r} at row {lineno} contains a comma, "
                          "quote or line break")
 
@@ -101,8 +115,75 @@ def _check_consecutive(dates: list[dt.date], label: str):
 
 
 def load_meter_csv(path) -> list[ConsumerSeries]:
-    """Load one ConsumerSeries per distinct consumer_id from a meter CSV."""
+    """Load one ConsumerSeries per distinct consumer_id from a meter CSV.
+
+    Consumers come in order of first appearance, each with its rows in file
+    order. A file the bulk reader refuses is parsed again row by row, which
+    raises the error that names the row or consumer at fault.
+    """
     path = str(path)
+    try:
+        return _load_meter_bulk(path)
+    except ValueError:
+        return _load_meter_rows(path)
+
+
+def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
+    """The meter file in two passes: ids and dates line by line, then the values by np.loadtxt.
+
+    Raises ValueError on anything the row parser might read differently or
+    refuse, without naming the row: unquoted lines only, 26 fields each.
+    `HourlyMatrix` refuses a non-finite or negative reading.
+    """
+    index: dict[str, int] = {}  # consumer id -> consumer number, in first-appearance order
+    ordinal_of: dict[str, int] = {}  # date text -> date ordinal
+    consumer_of_row, ordinal_of_row = [], []
+    with open(path, newline="") as fh:
+        if fh.readline().rstrip("\r\n") != _METER_HEADER_LINE:
+            raise ValueError("not the meter header")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            if line.count(",") != HOURS + 1:
+                raise ValueError("wrong column count")
+            cid, date, _ = line.split(",", 2)
+            i = index.get(cid)
+            if i is None:
+                _check_consumer_id(cid, lineno, path)
+                i = index[cid] = len(index)
+            day = ordinal_of.get(date)
+            if day is None:
+                day = ordinal_of[date] = dt.date.fromisoformat(date).toordinal()
+            consumer_of_row.append(i)
+            ordinal_of_row.append(day)
+        if not consumer_of_row:
+            raise ValueError("no meter rows")
+        fh.seek(0)
+        values = np.loadtxt(fh, delimiter=",", skiprows=1, usecols=range(2, 2 + HOURS),
+                            comments=None, ndmin=2)
+    if values.shape != (len(consumer_of_row), HOURS):
+        raise ValueError("row count differs between passes")
+
+    consumer = np.array(consumer_of_row)
+    ordinal = np.array(ordinal_of_row)
+    if (np.diff(consumer) < 0).any():  # interleaved consumers: group rows, keeping file order
+        order = np.argsort(consumer, kind="stable")
+        consumer, ordinal, values = consumer[order], ordinal[order], values[order]
+    same_consumer = consumer[1:] == consumer[:-1]
+    if (np.diff(ordinal)[same_consumer] != 1).any():
+        raise ValueError("dates not consecutive")
+    counts = np.bincount(consumer)
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    return [
+        ConsumerSeries(cid, HourlyMatrix(values[a:b], dt.date.fromordinal(int(ordinal[a]))))
+        for cid, a, b in zip(index, starts.tolist(), stops.tolist())
+    ]
+
+
+def _load_meter_rows(path: str) -> list[ConsumerSeries]:
+    """The row-by-row meter parser: slow, but its errors name the file row or consumer."""
     rows_by_consumer: dict[str, list[tuple[dt.date, np.ndarray]]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -193,14 +274,22 @@ def atomic_write(path, write_rows):
 
 
 def write_meter_csv(consumers: list[ConsumerSeries], path):
+    """Write a meter CSV; an id that is no plain CSV field is refused before anything is written."""
+    for c in consumers:
+        if _breaks_csv(c.consumer_id):
+            raise ValueError(f"{path}: cannot write consumer id {c.consumer_id!r}: it contains "
+                             "a comma, quote or line break")
+
     def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(METER_HEADER)
+        fh.write(_METER_HEADER_LINE + "\r\n")
+        dates_of = {}  # (start date, days) -> date texts, shared by consumers over one range
         for c in consumers:
-            for row in range(c.usage.n_days):
-                date = c.usage.date_of_row(row).isoformat()
-                cells = [f"{v:.4f}" for v in c.usage.values[row]]
-                writer.writerow([c.consumer_id, date] + cells)
+            span = (c.usage.start_date, c.usage.n_days)
+            if span not in dates_of:
+                dates_of[span] = _iso_dates(c.usage)
+            cid = c.consumer_id
+            fh.write("".join([_ROW % (cid, date, *cells)
+                              for date, cells in zip(dates_of[span], c.usage.values.tolist())]))
 
     atomic_write(path, _write)
 
@@ -208,14 +297,16 @@ def write_meter_csv(consumers: list[ConsumerSeries], path):
 def write_price_csv(prices: PriceSeries, path):
     def _write(fh):
         fh.write("#unit=cents_per_kwh\n")
-        writer = csv.writer(fh)
-        writer.writerow(PRICE_HEADER)
+        fh.write(",".join(PRICE_HEADER) + "\r\n")
         for market, matrix in (("DA", prices.day_ahead), ("RT", prices.real_time)):
-            for row in range(matrix.n_days):
-                date = matrix.date_of_row(row).isoformat()
-                writer.writerow([date, market] + [f"{v:.4f}" for v in matrix.values[row]])
+            fh.write("".join([_ROW % (date, market, *cells)
+                              for date, cells in zip(_iso_dates(matrix), matrix.values.tolist())]))
 
     atomic_write(path, _write)
+
+
+def _iso_dates(matrix: HourlyMatrix) -> list[str]:
+    return [matrix.date_of_row(row).isoformat() for row in range(matrix.n_days)]
 
 
 def _archetype_shape(peaky: bool) -> np.ndarray:

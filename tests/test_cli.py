@@ -309,3 +309,35 @@ def test_config_file_is_checked_before_use(tmp_path, capsys, command, config, ke
     err = capsys.readouterr().err
     assert f"{cfg}: " in err
     assert f"config key {key!r}" in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("synth", {"out_dir": None}),
+    ("solve", {"meter": 3}),
+    ("segment", {"size_grid": {}}),
+    ("segment", {"size_grid": [3, 2.5]}),
+    ("segment", {"policy": ["drop"]}),
+], ids=["null-path", "number-path", "object-size-list", "fractional-size", "list-choice"])
+def test_config_paths_choices_and_size_lists_are_typed(tmp_path, capsys, command, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--out-dir", str(tmp_path / "out"), "--config", str(cfg)]
+    if command != "synth":
+        argv += ["--prices", PRICES] + ([] if "meter" in config else ["--meter", METER])
+    if command == "solve":
+        argv += ["--m", "2"]
+    assert main(argv) == 2
+    (key,) = config
+    assert f"{cfg}: config key {key!r}: expected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_size_list_may_be_a_json_list(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"size_grid": [12, 3, 6], "cv_threshold": 50}))
+    assert main(["segment", "--meter", METER, "--prices", PRICES, "--config", str(cfg),
+                 "--out-dir", str(tmp_path)]) == 0
+    flag_dir = tmp_path / "flag"
+    assert main(["segment", "--meter", METER, "--prices", PRICES, "--cv-threshold", "50",
+                 "--size-grid", "3,6,12", "--out-dir", str(flag_dir)]) == 0
+    assert (tmp_path / "rounds.csv").read_bytes() == (flag_dir / "rounds.csv").read_bytes()

@@ -1,12 +1,19 @@
+import csv
 import datetime as dt
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ratecraft.costs import consumer_stats
 from ratecraft.ingest import (
+    METER_HEADER,
+    PRICE_HEADER,
     SynthSpec,
+    _load_meter_bulk,
+    _load_meter_rows,
     align,
     atomic_write,
     load_meter_csv,
@@ -307,3 +314,131 @@ def test_synth_prices_nonnegative_with_peak():
     assert np.all(ds.prices.real_time.values >= 0)
     # afternoon peak: hour 18 beats the overnight trough on every day
     assert np.all(da[:, 18] > da[:, 3])
+
+
+def _csv_writer_reference(path, first_line, header, rows):
+    """The writers as they were, through csv.writer: the byte-for-byte reference."""
+    with open(path, "w", newline="") as fh:
+        fh.write(first_line)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for text_a, text_b, values in rows:
+            writer.writerow([text_a, text_b] + [f"{v:.4f}" for v in values])
+
+
+def test_writers_match_csv_writer_bytes(tmp_path):
+    edge = [0.0, 1e-5, 0.00005, 12345.6789, -0.0] * 4 + [0.00015, 2.5, 0.99995, 3.0]
+    usage = HourlyMatrix(np.array([edge, edge[::-1]]), START)
+    consumers = [ConsumerSeries("peak-00000", usage), ConsumerSeries("a b#;'\t", usage)]
+    write_meter_csv(consumers, tmp_path / "meter.csv")
+    rows = [(c.consumer_id, usage.date_of_row(r).isoformat(), usage.values[r])
+            for c in consumers for r in range(usage.n_days)]
+    _csv_writer_reference(tmp_path / "ref_meter.csv", "", METER_HEADER, rows)
+    assert (tmp_path / "meter.csv").read_bytes() == (tmp_path / "ref_meter.csv").read_bytes()
+    assert b"-0.0000," in (tmp_path / "meter.csv").read_bytes()
+
+    prices = PriceSeries(usage, HourlyMatrix(usage.values[::-1], START))
+    write_price_csv(prices, tmp_path / "prices.csv")
+    rows = [(usage.date_of_row(r).isoformat(), market, matrix.values[r])
+            for market, matrix in (("DA", prices.day_ahead), ("RT", prices.real_time))
+            for r in range(matrix.n_days)]
+    _csv_writer_reference(tmp_path / "ref_prices.csv", "#unit=cents_per_kwh\n", PRICE_HEADER, rows)
+    assert (tmp_path / "prices.csv").read_bytes() == (tmp_path / "ref_prices.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cid", ['peak,00000', 'say "hi"', "a\rb", "a\nb"])
+def test_meter_writer_refuses_ids_it_cannot_write(tmp_path, cid):
+    usage = _series(START, 2)
+    consumers = [ConsumerSeries("ok", usage), ConsumerSeries(cid, usage)]
+    with pytest.raises(ValueError, match=f"{tmp_path / 'meter.csv'}: cannot write consumer id"):
+        write_meter_csv(consumers, tmp_path / "meter.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_meter_ids_with_other_punctuation_round_trip(tmp_path):
+    ids = ["a b", "a\tb", "#c", "d;e", "f'g"]
+    consumers = [ConsumerSeries(cid, _series(START, 2, 1.5)) for cid in ids]
+    write_meter_csv(consumers, tmp_path / "meter.csv")
+    assert [c.consumer_id for c in load_meter_csv(tmp_path / "meter.csv")] == ids
+
+
+def _loaded(load, path):
+    """What a meter loader gives: ids, start dates and value bits in order, or its error text."""
+    try:
+        consumers = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(c.consumer_id, c.usage.start_date, c.usage.values.tobytes()) for c in consumers]
+
+
+def test_bulk_meter_reader_takes_well_formed_files(tmp_path):
+    """The bulk pass itself reads LF and CRLF files, blank lines, interleaved consumers."""
+    rows = [
+        "#c,2021-01-05," + _day_cells(2.0),
+        "b,2021-01-04," + _day_cells(1.0),
+        "",
+        "#c,2021-01-06," + ",".join([" 1.0", "-0", "1e-400"] + ["3.25"] * 21),
+        "b,2021-01-05," + _day_cells(0.5),
+    ]
+    for eol in ("\n", "\r\n"):
+        path = tmp_path / "meter.csv"
+        path.write_text(_meter_lines(rows).replace("\n", eol), newline="")
+        assert _loaded(_load_meter_bulk, path) == _loaded(_load_meter_rows, path)
+        assert [c.consumer_id for c in _load_meter_bulk(path)] == ["#c", "b"]
+
+
+def test_bulk_meter_reader_keeps_file_order_within_each_consumer(tmp_path):
+    """Round-robin rows of many consumers: grouping them must be a stable sort."""
+    rows = [f"c{i:02d},{(START + dt.timedelta(days=d)).isoformat()}," + _day_cells(1 + d + i / 100)
+            for d in range(30) for i in range(40)]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows))
+    bulk = _load_meter_bulk(path)
+    assert _loaded(lambda p: bulk, path) == _loaded(_load_meter_rows, path)
+    assert bulk[7].usage.values[:, 0].tolist() == [1 + d + 0.07 for d in range(30)]
+
+
+_HEADERS = [",".join(METER_HEADER)] * 6 + ['"consumer_id",' + ",".join(METER_HEADER[1:])]
+_IDS = ["a", "b", "#c", "x y"]
+_ODD_IDS = ['"a"', '"p,q"']
+_DATES = ['"2021-01-05"', "2021-13-01", "20210105", ""]
+_CELLS = ["1_0", "\u0661", " 1.0", "nan", "Infinity", "-0", "-1.5", '"2.5"', "", "1e-400"]
+
+
+@st.composite
+def _meter_texts(draw):
+    """Small meter files, mostly well formed, with the cases where the two parsers could part."""
+    rows = []
+    for cid in draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=3, unique=True)):
+        if draw(st.integers(0, 19)) == 0:
+            cid = draw(st.sampled_from(_ODD_IDS))
+        first = draw(st.integers(0, 3))
+        offsets = draw(st.one_of(
+            st.integers(1, 4).map(lambda k: list(range(first, first + k))),
+            st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        ))
+        for offset in offsets:
+            date = (START + dt.timedelta(days=offset)).isoformat()
+            if draw(st.integers(0, 19)) == 0:
+                date = draw(st.sampled_from(_DATES))
+            level = draw(st.integers(0, 30000)) / 1e4
+            cells = [f"{level + h / 1e4:.4f}" for h in range(24)]
+            if draw(st.integers(0, 9)) == 0:
+                cells[draw(st.integers(0, 23))] = draw(st.sampled_from(_CELLS))
+            width = draw(st.sampled_from([24] * 38 + [23, 25]))  # 26 fields, or 25 or 27
+            rows.append(",".join([cid, date] + (cells + ["1.0"])[:width]))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", "", " "])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([draw(st.sampled_from(_HEADERS))] + rows) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                   HealthCheck.too_slow])
+@given(text=_meter_texts())
+def test_meter_loader_equals_row_parser(tmp_path, text):
+    path = tmp_path / "meter.csv"
+    path.write_text(text, newline="")
+    assert _loaded(load_meter_csv, path) == _loaded(_load_meter_rows, path)
