@@ -15,7 +15,6 @@ from .costs import (
     consumer_stats,
     expected_penalty,
     group_lambda,
-    individual_lambda,
     mean_real_time_price,
     newsvendor_purchase,
     realized_cost,
@@ -28,8 +27,6 @@ from .forecast import (
     backtest_cv,
     cv,
     cv_curve,
-    estimate_error_sigma,
-    fit,
     fit_ar,
     predict_day,
 )
@@ -48,7 +45,6 @@ from .segmentation import (
     StabilityReport,
     StabilityViolation,
     default_size_grid,
-    min_group_size,
     segment_population,
     stability_audit,
 )
@@ -97,18 +93,14 @@ __all__ = [
     "cv",
     "cv_curve",
     "default_size_grid",
-    "estimate_error_sigma",
     "expected_penalty",
     "feasibility_test",
-    "fit",
     "fit_ar",
     "group_lambda",
-    "individual_lambda",
     "lambda_curve",
     "load_meter_csv",
     "load_price_csv",
     "mean_real_time_price",
-    "min_group_size",
     "newsvendor_purchase",
     "predict_day",
     "realized_cost",

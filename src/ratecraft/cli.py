@@ -6,13 +6,13 @@ choices, range check and the subcommands that take its flag. The table builds
 each subcommand's parser, and it resolves every value as CLI flag > JSON
 config file (--config, keys mirror flag names with underscores) > built-in
 default before checking it; the defaults are visible in each subcommand's
---help. An unknown config key, or a config value that its parameter's type
-would reject or change (a path or choice must be a JSON string, a size list a
-string or a list of ints), is a usage error. All randomized procedures derive
-their streams from the single --seed. Output files are written atomically
-(unique temp file + rename) with fixed numeric formatting, so re-running a
-command with identical flags and seed yields byte-identical files. Exit
-codes: 0 success, 2 usage error, 1 runtime error.
+--help. An unknown config key, a `config` key, or a config value that its
+parameter's type would reject or change (a path or choice must be a JSON
+string, a size list a string or a list of ints), is a usage error. All
+randomized procedures derive their streams from the single --seed. Output
+files are written atomically (unique temp file + rename) with fixed numeric
+formatting, so re-running a command with identical flags and seed yields
+byte-identical files. Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -141,6 +141,8 @@ def _load_config(path) -> dict:
     for key, value in cfg.items():
         if key not in params:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        if key == "config":
+            raise ValueError(f"{path}: config key 'config': a config file cannot name another")
         cfg[key] = _config_value(path, params[key], value)
     return cfg
 
@@ -422,9 +424,10 @@ def _run_simulate(params):
             raise ValueError(f"{params['selection']}: selection ids not in dataset: "
                              f"{', '.join(missing[:5])}")
         selection = SelectionVector.from_indices(dataset.n_consumers, [index[c] for c in ids])
-    report = replay_validate(
-        dataset, selection=selection, design=params["design"], n_days=params["days_limit"]
-    )
+    limit = params["days_limit"]
+    if limit is not None and limit > dataset.validate_days:
+        raise _UsageError(f"--days-limit {limit} exceeds the {dataset.validate_days} validate days")
+    report = replay_validate(dataset, selection=selection, design=params["design"], n_days=limit)
 
     rows = []
     for s in report.settlements:

@@ -84,13 +84,6 @@ def consumer_stats(dataset: Dataset) -> CostStats:
     return CostStats(t=t, w=w)
 
 
-def individual_lambda(stats: CostStats, i: int) -> float:
-    """Historical per-unit cost of serving consumer i, in cents/kWh."""
-    if not (0 <= i < stats.n):
-        raise ValueError(f"consumer index {i} out of range for {stats.n} consumers")
-    return float(stats.t[i] / stats.w[i])
-
-
 def group_lambda(stats: CostStats, u: SelectionVector) -> float:
     """Per-unit cost of serving the selected group: (u.t) / (u.w).
 

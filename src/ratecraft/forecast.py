@@ -4,7 +4,7 @@ The forecaster is deliberately simple: an autoregressive model over the
 group's daily totals plus a per-weekday mean normalized load shape. The
 predicted day is the predicted total times the shape, so the hourly forecast
 sums exactly to the total prediction. It sits behind a small surface
-(fit / predict_day) so a richer model can be swapped in.
+(fit_profile / predict_rows) so a richer model can be swapped in.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class CvCurve:
     points: tuple[CvPoint, ...]
     random_ci: dict[int, tuple[float, float]]
 
-    def optimal_points(self) -> list[CvPoint]:
-        return [p for p in self.points if p.kind == "optimal"]
-
     def random_points(self) -> list[CvPoint]:
         return [p for p in self.points if p.kind == "random"]
 
@@ -130,12 +127,6 @@ def fit_profile(
         else:
             shapes[dow] = overall
     return GroupForecaster(order=order, intercept=intercept, coeffs=coeffs, shapes=shapes)
-
-
-def fit(dataset: Dataset, u: SelectionVector, order: int = DEFAULT_AR_ORDER) -> GroupForecaster:
-    """Fit the group forecaster on the training window."""
-    profile = group_profile(dataset, u)
-    return fit_profile(profile, dataset.train_days, dataset.start_weekday, order)
 
 
 def predict_day(
@@ -205,17 +196,6 @@ def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
     )
     actual = profile[dataset.train_days :]
     return cv(actual.ravel(), preds.ravel())
-
-
-def estimate_error_sigma(dataset: Dataset, u: SelectionVector) -> ForecastErrorModel:
-    """Per-hour standard deviation of the fitted forecaster's residuals.
-
-    The residuals are the one-step-ahead errors inside the training window,
-    after the AR warm-up; held-out days never enter.
-    """
-    profile = group_profile(dataset, u)
-    model = fit_profile(profile, dataset.train_days, dataset.start_weekday, DEFAULT_AR_ORDER)
-    return residual_sigma(profile, model, model.order, dataset.train_days, dataset.start_weekday)
 
 
 def residual_sigma(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costs import consumer_stats, group_lambda
-from .forecast import CvCurve, backtest_cv
+from .forecast import backtest_cv
 from .solver import DEFAULT_GAMMA, solve_min_lambda
 from .types import CostStats, Dataset, SelectionVector
 
@@ -104,12 +104,6 @@ class StabilityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def min_group_size(curve: CvCurve, cv_threshold: float) -> Optional[int]:
-    """Smallest evaluated size whose optimal-group CV meets the threshold."""
-    qualifying = [p.m for p in curve.optimal_points() if p.cv <= cv_threshold]
-    return min(qualifying) if qualifying else None
 
 
 def default_size_grid(n: int, smallest: int = 10) -> list[int]:

@@ -61,8 +61,11 @@ class HourlyMatrix:
         return (date - self.start_date).days
 
     def slice_days(self, start: int, stop: int) -> "HourlyMatrix":
+        """Rows [start, stop) as a matrix; the whole range is this (immutable) matrix."""
         if not (0 <= start < stop <= self.n_days):
             raise ValueError(f"invalid day slice [{start}, {stop}) for {self.n_days} days")
+        if start == 0 and stop == self.n_days:
+            return self
         return HourlyMatrix(self.values[start:stop], self.date_of_row(start))
 
 
@@ -78,10 +81,6 @@ class ConsumerSeries:
             raise ValueError("consumer_id must be nonempty")
         if float(self.usage.values.sum()) <= 0.0:
             raise ValueError(f"consumer {self.consumer_id} has zero total usage")
-
-    @property
-    def total_kwh(self) -> float:
-        return float(self.usage.values.sum())
 
 
 @dataclass(frozen=True)
@@ -175,9 +174,6 @@ class Dataset:
         stack = np.stack([c.usage.values for c in self.consumers])
         stack.setflags(write=False)
         return stack
-
-    def weekday_of_row(self, row: int) -> int:
-        return (self.start_weekday + int(row)) % 7
 
     def date_of_row(self, row: int) -> dt.date:
         return self.prices.day_ahead.date_of_row(row)

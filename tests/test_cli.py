@@ -157,6 +157,14 @@ def test_unusable_windows_after_loading_are_usage_errors(
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_days_limit_beyond_validate_window_is_usage_error(tmp_path, capsys):
+    rc = main(["simulate", "--meter", METER, "--prices", PRICES, "--days-limit", "99",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--days-limit 99 exceeds the 6 validate days" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     rc = main(["solve", "--meter", "nope.csv", "--prices", PRICES, "--m", "2",
                "--out-dir", str(tmp_path)])
@@ -297,7 +305,8 @@ def test_config_file_must_be_object(tmp_path, capsys):
     ("synth", {"n": 2.7}, "n"),
     ("synth", {"n": "abc"}, "n"),
     ("synth", {"n": True}, "n"),
-], ids=["unknown-key", "fractional-int", "not-a-number", "bool"])
+    ("synth", {"config": "other.json", "n": 3, "days": 20}, "config"),
+], ids=["unknown-key", "fractional-int", "not-a-number", "bool", "nested-config"])
 def test_config_file_is_checked_before_use(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))

@@ -16,7 +16,6 @@ from ratecraft.costs import (
     consumer_stats,
     expected_penalty,
     group_lambda,
-    individual_lambda,
     mean_real_time_price,
     newsvendor_purchase,
     realized_cost,
@@ -54,7 +53,7 @@ def test_consumer_stats_flat_price():
     stats = consumer_stats(ds)
     assert stats.t[0] == pytest.approx(30.0, rel=1e-12)
     assert stats.w[0] == pytest.approx(10.0, rel=1e-12)
-    assert individual_lambda(stats, 0) == pytest.approx(3.0, rel=1e-12)
+    assert stats.ratios[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_consumer_stats_peak_vs_trough():
@@ -112,15 +111,13 @@ def test_individual_lambda_flat_price_identity():
     usage = rng.uniform(0.0, 3.0, (3, 24))
     ds = make_dataset([usage], da=np.full(24, 4.25))
     stats = consumer_stats(ds)
-    assert individual_lambda(stats, 0) == pytest.approx(4.25, rel=1e-12)
-    with pytest.raises(ValueError, match="out of range"):
-        individual_lambda(stats, 1)
+    assert stats.ratios[0] == pytest.approx(4.25, rel=1e-12)
 
 
 def test_group_lambda_singleton_reduction():
     stats = CostStats(t=[30.0, 8.0], w=[10.0, 2.0])
     sel = SelectionVector.from_indices(2, [1])
-    assert group_lambda(stats, sel) == individual_lambda(stats, 1)
+    assert group_lambda(stats, sel) == stats.ratios[1]
 
 
 def test_group_lambda_weighted_mean():

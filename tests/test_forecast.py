@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from ratecraft.forecast import (
+    DEFAULT_AR_ORDER,
     CvPoint,
     GroupForecaster,
     backtest_cv,
     cv,
     cv_curve,
-    estimate_error_sigma,
-    fit,
     fit_ar,
+    fit_profile,
     group_profile,
     predict_day,
     predict_rows,
@@ -24,6 +24,11 @@ from ratecraft.types import SelectionVector
 
 def _everyone(ds):
     return SelectionVector.from_indices(ds.n_consumers, range(ds.n_consumers))
+
+
+def _fit(ds, u, order=DEFAULT_AR_ORDER):
+    """The group forecaster for selection u, fitted on ds's training window."""
+    return fit_profile(group_profile(ds, u), ds.train_days, ds.start_weekday, order)
 
 
 # -- fit_ar ---------------------------------------------------------------------
@@ -59,7 +64,7 @@ def test_fit_ar_input_validation():
 def test_fit_constant_consumption():
     usage = np.tile(np.linspace(0.1, 2.0, 24), (20, 1))
     ds = make_dataset([usage], da=np.ones(24), train_days=20)
-    model = fit(ds, _everyone(ds))
+    model = _fit(ds, _everyone(ds))
     total = float(usage[0].sum())
     pred = predict_day(model, np.full(10, total), day_of_week=2)
     assert np.allclose(pred, usage[0], rtol=1e-8)
@@ -68,14 +73,14 @@ def test_fit_constant_consumption():
 def test_fit_requires_two_weeks():
     ds = make_dataset([np.ones((13, 24))], da=np.ones(24), train_days=13)
     with pytest.raises(ValueError, match="too short"):
-        fit(ds, _everyone(ds))
+        _fit(ds, _everyone(ds))
 
 
 def test_fit_skips_zero_usage_days():
     usage = np.ones((20, 24))
     usage[4] = 0.0  # one dead day must not poison the shape average
     ds = make_dataset([usage], da=np.ones(24), train_days=20)
-    model = fit(ds, _everyone(ds))
+    model = _fit(ds, _everyone(ds))
     assert np.allclose(model.shapes.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(np.isfinite(model.shapes))
 
@@ -83,12 +88,12 @@ def test_fit_skips_zero_usage_days():
 def test_fit_size_independence(synth_medium):
     one = SelectionVector.from_indices(synth_medium.n_consumers, [0])
     many = _everyone(synth_medium)
-    assert fit(synth_medium, one).shapes.shape == (7, 24)
-    assert fit(synth_medium, many).shapes.shape == (7, 24)
+    assert _fit(synth_medium, one).shapes.shape == (7, 24)
+    assert _fit(synth_medium, many).shapes.shape == (7, 24)
 
 
 def test_fit_shapes_normalized(synth_medium):
-    model = fit(synth_medium, _everyone(synth_medium))
+    model = _fit(synth_medium, _everyone(synth_medium))
     assert np.all(model.shapes >= 0)
     assert np.allclose(model.shapes.sum(axis=1), 1.0, atol=1e-12)
 
@@ -147,7 +152,7 @@ def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floo
     # the block kernel must reproduce the single-day reference, looped day by day, exactly
     ds = synth_medium
     sel = SelectionVector.from_indices(ds.n_consumers, sorted(members))
-    fitted = fit(ds, sel, order=order)
+    fitted = _fit(ds, sel, order=order)
     profile = group_profile(ds, sel)
     totals = profile.sum(axis=1)
     # lowering the intercept makes some predicted totals hit the floor at 0
@@ -159,9 +164,9 @@ def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floo
     )
     for start, stop in ((order, ds.train_days), (ds.train_days, ds.n_days)):
         block = predict_rows(model, totals, start, stop, ds.start_weekday)
-        reference = np.array(
-            [predict_day(model, totals[:k], ds.weekday_of_row(k)) for k in range(start, stop)]
-        )
+        reference = np.array([
+            predict_day(model, totals[:k], ds.date_of_row(k).weekday()) for k in range(start, stop)
+        ])
         assert np.array_equal(block, reference)
 
 
@@ -224,31 +229,36 @@ def test_backtest_requires_validate_days():
 def test_forecaster_roughly_unbiased(synth_medium):
     # mean signed error of daily totals over the validate window within 2 SE of 0
     sel = _everyone(synth_medium)
-    model = fit(synth_medium, sel)
+    model = _fit(synth_medium, sel)
     stack = synth_medium.usage_stack
     profile = stack.sum(axis=0)
     totals = profile.sum(axis=1)
     errors = []
     for k in range(synth_medium.train_days, synth_medium.n_days):
-        pred = predict_day(model, totals[:k], synth_medium.weekday_of_row(k))
+        pred = predict_day(model, totals[:k], synth_medium.date_of_row(k).weekday())
         errors.append(float(pred.sum() - totals[k]))
     errors = np.asarray(errors)
     se = errors.std(ddof=1) / np.sqrt(errors.size)
     assert abs(errors.mean()) <= 2 * se
 
 
-def test_estimate_error_sigma_zero_noise():
+def test_residual_sigma_zero_noise():
     ds = synth_population(SynthSpec(n_consumers=4, n_days=30, noise_cv=0.0, seed=3))
-    em = estimate_error_sigma(ds, _everyone(ds))
+    sel = _everyone(ds)
+    em = residual_sigma(
+        group_profile(ds, sel), _fit(ds, sel), DEFAULT_AR_ORDER, ds.train_days, ds.start_weekday
+    )
     assert np.all(em.sigma <= 1e-9)
 
 
-def test_estimate_error_sigma_windows(synth_medium):
+def test_residual_sigma_windows(synth_medium):
     sel = _everyone(synth_medium)
-    train_sigma = estimate_error_sigma(synth_medium, sel)
+    profile, model = group_profile(synth_medium, sel), _fit(synth_medium, sel)
+    train_sigma = residual_sigma(
+        profile, model, DEFAULT_AR_ORDER, synth_medium.train_days, synth_medium.start_weekday
+    )
     val_sigma = residual_sigma(
-        group_profile(synth_medium, sel), fit(synth_medium, sel), synth_medium.train_days,
-        synth_medium.n_days, synth_medium.start_weekday,
+        profile, model, synth_medium.train_days, synth_medium.n_days, synth_medium.start_weekday
     )
     assert train_sigma.sigma.shape == (24,)
     assert np.all(train_sigma.sigma >= 0)

@@ -1,0 +1,56 @@
+"""Static checks on the package source: no unused import, and `__all__` equal to the imports.
+
+There is no linter among the test dependencies, so these read the source with `ast`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ratecraft"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _dunder_all(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(_dunder_all(tree))
+    unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
+    assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = _tree(SRC / "__init__.py")
+    exported = _dunder_all(tree)
+    assert len(exported) == len(set(exported)), "__all__ lists a name twice"
+    imported = set(_imported(tree))
+    assert sorted(imported - set(exported)) == [], "imported but not in __all__"
+    assert sorted(set(exported) - imported) == [], "in __all__ but not imported"

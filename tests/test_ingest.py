@@ -217,6 +217,24 @@ def test_align_intersection():
     assert ds.prices.day_ahead.end_date == dt.date(2021, 1, 10)
 
 
+def test_align_shares_series_that_span_the_common_range():
+    start = dt.date(2021, 1, 1)
+    consumers = [ConsumerSeries("a", _series(start, 6)), ConsumerSeries("b", _series(start, 6))]
+    prices = PriceSeries(_series(start, 6, 3.0), _series(start, 6, 3.0))
+    ds = align(consumers, prices, split=0.5)
+    for before, after in zip(consumers, ds.consumers):
+        assert after.usage.values is before.usage.values
+    assert ds.prices.day_ahead.values is prices.day_ahead.values
+
+    longer = ConsumerSeries("c", _series(dt.date(2020, 12, 30), 9, 2.0))
+    ds = align(consumers + [longer], prices, split=0.5)
+    cut = ds.consumers[2].usage
+    assert (cut.start_date, cut.n_days) == (start, 6)
+    assert cut.values is not longer.usage.values
+    assert np.array_equal(cut.values, longer.usage.values[2:8])
+    assert ds.consumers[0].usage.values is consumers[0].usage.values
+
+
 def test_align_split_rounding():
     consumers = [ConsumerSeries("a", _series(dt.date(2021, 1, 1), 12))]
     prices = PriceSeries(_series(dt.date(2021, 1, 1), 12, 3.0), _series(dt.date(2021, 1, 1), 12, 3.0))

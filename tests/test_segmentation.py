@@ -3,13 +3,12 @@ import pytest
 
 from ratecraft import segmentation
 from ratecraft.costs import consumer_stats, group_lambda
-from ratecraft.forecast import CvCurve, CvPoint, backtest_cv
+from ratecraft.forecast import backtest_cv
 from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.segmentation import (
     SegmentGroup,
     SegmentationResult,
     default_size_grid,
-    min_group_size,
     segment_population,
     stability_audit,
 )
@@ -17,31 +16,6 @@ from ratecraft.solver import solve_min_lambda
 from ratecraft.types import ConsumerSeries, CostStats, Dataset, HourlyMatrix, SelectionVector
 
 GAMMA = 1e-6
-
-
-def _curve(points):
-    return CvCurve(
-        points=tuple(CvPoint(m=m, kind="optimal", cv=c) for m, c in points), random_ci={}
-    )
-
-
-def test_min_group_size_first_crossing():
-    curve = _curve([(100, 12.0), (200, 9.0), (400, 7.0)])
-    assert min_group_size(curve, 10.0) == 200
-
-
-def test_min_group_size_none_qualify():
-    curve = _curve([(100, 12.0), (200, 9.0), (400, 7.0)])
-    assert min_group_size(curve, 5.0) is None
-
-
-def test_min_group_size_ignores_random_points():
-    curve = CvCurve(
-        points=(CvPoint(m=50, kind="random", cv=1.0), CvPoint(m=80, kind="optimal", cv=4.0)),
-        random_ci={},
-    )
-    assert min_group_size(curve, 5.0) == 80
-    assert min_group_size(curve, 2.0) is None  # the random point must not qualify
 
 
 def test_default_size_grid():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ratecraft.costs import expected_penalty, mean_real_time_price
+from ratecraft.forecast import DEFAULT_AR_ORDER, fit_profile, group_profile, residual_sigma
 from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.simulate import replay_validate
 from ratecraft.types import Dataset, HourlyMatrix, PriceSeries, SelectionVector
@@ -51,6 +53,24 @@ def test_replay_penalty_gap_matches_expectation():
     se = penalties.std(ddof=1) / np.sqrt(len(penalties)) / demand.mean()
     assert report.penalty_gap == pytest.approx(empirical_gap, rel=1e-9)
     assert abs(empirical_gap - report.expected_gap) <= 3 * se
+
+
+def test_replay_error_model_comes_from_the_training_window():
+    # sigma is fitted on one-step residuals of rows [order, train_days); held-out days never enter
+    ds = synth_population(SynthSpec(n_consumers=20, n_days=40, noise_cv=0.3, seed=5))
+    sel = SelectionVector.from_indices(20, range(0, 20, 2))
+    report = replay_validate(ds, sel, design="one_sided")
+    train, start_weekday = ds.train_days, ds.start_weekday
+    profile = group_profile(ds, sel)
+    model = fit_profile(profile, train, start_weekday, DEFAULT_AR_ORDER)
+    error_model = residual_sigma(profile, model, DEFAULT_AR_ORDER, train, start_weekday)
+    q_mean = mean_real_time_price(ds)
+    expected_total = 0.0
+    for k in range(train, ds.n_days):
+        expected_total += expected_penalty(error_model, ds.prices.day_ahead.values[k], q_mean)
+    demand = float(profile.sum(axis=1)[train:].sum())
+    assert report.expected_gap > 0
+    assert report.expected_gap == expected_total / demand
 
 
 def test_replay_accounting_consistency():

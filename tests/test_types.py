@@ -92,7 +92,6 @@ def _tiny_dataset(train=2, validate=1):
 def test_dataset_row_weekdays():
     ds = _tiny_dataset(train=2, validate=1)
     assert ds.start_weekday == 0  # Monday
-    assert ds.weekday_of_row(8) == 1
 
 
 def test_dataset_rejects_shape_mismatch():
