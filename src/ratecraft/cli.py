@@ -298,7 +298,7 @@ def _run_curves(params):
     dataset = _load_split_dataset(params)
     sizes = params["sizes"] or default_size_grid(dataset.n_consumers, smallest=1)
     if sizes[-1] > dataset.n_consumers:
-        raise ValueError(f"largest size {sizes[-1]} exceeds population {dataset.n_consumers}")
+        raise _UsageError(f"largest size {sizes[-1]} exceeds population {dataset.n_consumers}")
     stats = consumer_stats(dataset)
 
     lam_points = lambda_curve(stats, sizes, params["gamma"])

@@ -3,10 +3,11 @@
 The problem: among all groups of exactly M consumers, find the one whose
 per-unit cost (u.t)/(u.w) is smallest. For a candidate rate lam, some M-group
 achieves a rate <= lam iff the M smallest entries of t - lam*w sum to a
-nonpositive value, so feasibility is a sort, and the set of feasible rates is
-an upward-closed interval. Bisecting the bracket [min t_i/w_i, max t_i/w_i]
-therefore converges to the optimum; the last feasible test provides both the
-rate and a certificate selection.
+nonpositive value, so feasibility is a partial selection (a partition plus a
+sort of the chosen M), and the set of feasible rates is an upward-closed
+interval. Bisecting the bracket [min t_i/w_i, max t_i/w_i] therefore converges
+to the optimum; the last feasible test provides both the rate and a
+certificate selection.
 """
 
 from __future__ import annotations
@@ -42,16 +43,22 @@ class SolveResult:
 def feasibility_test(stats: CostStats, lam: float, m: int) -> Optional[SelectionVector]:
     """Greedy test: can some M-group achieve rate <= lam?
 
-    Ranks t - lam*w ascending (ties broken by lower index) and selects the M
-    smallest. Returns that selection when its ranked sum is nonpositive,
-    otherwise None.
+    Selects the M smallest entries of t - lam*w, ties broken by lower index:
+    a partition finds the M-th smallest value, every entry below it is taken,
+    and entries equal to it fill the rest, lowest index first. A stable sort of
+    the chosen M then ranks them exactly as the first M of a stable sort of all
+    n entries, and their values are summed in that order. Returns the
+    selection when that sum is nonpositive, otherwise None.
     """
     _check_m(stats, m)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
     v = stats.t - lam * stats.w
-    order = np.argsort(v, kind="stable")
-    chosen = order[:m]
+    kth = np.partition(v, m - 1)[m - 1]
+    below = np.flatnonzero(v < kth)
+    ties = np.flatnonzero(v == kth)[: m - below.size]
+    chosen = np.concatenate((below, ties))
+    chosen = chosen[np.argsort(v[chosen], kind="stable")]
     if float(v[chosen].sum()) <= 0.0:
         return SelectionVector.from_indices(stats.n, chosen)
     return None

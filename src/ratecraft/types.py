@@ -200,13 +200,15 @@ class SelectionVector:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "SelectionVector":
-        idx = np.asarray(list(indices), dtype=np.intp)
-        if idx.size != np.unique(idx).size:
-            raise ValueError("selection indices must be unique")
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise ValueError(f"selection indices out of range for population of {n}")
         bits = np.zeros(n, dtype=bool)
         bits[idx] = True
+        if np.count_nonzero(bits) != idx.size:
+            raise ValueError("selection indices must be unique")
         return cls(bits=bits, cardinality=int(idx.size))
 
     @property

@@ -165,6 +165,14 @@ def test_simulate_days_limit_beyond_validate_window_is_usage_error(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_curves_size_above_population_is_usage_error(tmp_path, capsys):
+    rc = main(["curves", "--meter", METER, "--prices", PRICES, "--sizes", "1,99",
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "largest size 99 exceeds population 12" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     rc = main(["solve", "--meter", "nope.csv", "--prices", PRICES, "--m", "2",
                "--out-dir", str(tmp_path)])

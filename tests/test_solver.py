@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ratecraft import solver
 from ratecraft.costs import group_lambda
+from ratecraft.segmentation import segment_population
 from ratecraft.solver import (
     brute_force_min_lambda,
     feasibility_test,
     lambda_curve,
     solve_min_lambda,
 )
-from ratecraft.types import CostStats
+from ratecraft.types import CostStats, SelectionVector
 
 GAMMA = 1e-6
 
@@ -50,6 +52,61 @@ def test_feasibility_validates_inputs():
         feasibility_test(stats, 1.0, 2)
     with pytest.raises(ValueError, match="finite"):
         feasibility_test(stats, math.inf, 1)
+
+
+def _stable_sort_feasibility_test(stats, lam, m):
+    """Reference kernel: rank all of t - lam*w with a stable sort, take the first M."""
+    v = stats.t - lam * stats.w
+    chosen = np.argsort(v, kind="stable")[:m]
+    if float(v[chosen].sum()) <= 0.0:
+        return SelectionVector.from_indices(stats.n, chosen)
+    return None
+
+
+@given(
+    tw=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_feasibility_matches_stable_sort_reference(tw, data):
+    # small integers make equal entries of t - lam*w common
+    t, w = zip(*tw)
+    stats = CostStats(t=t, w=w)
+    ratios = sorted(set(stats.ratios.tolist()))
+    midpoints = [0.5 * (a + b) for a, b in zip(ratios, ratios[1:])]
+    lam = data.draw(st.sampled_from(ratios + midpoints))
+    for m in range(1, stats.n + 1):
+        got = feasibility_test(stats, lam, m)
+        want = _stable_sort_feasibility_test(stats, lam, m)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.bits, want.bits)
+
+
+def test_solve_is_bit_equal_with_stable_sort_reference(monkeypatch):
+    rng = np.random.default_rng(31)
+    cases = [(_random_stats(rng, n), m) for n, m in [(1, 1), (9, 4), (40, 1), (40, 17), (40, 40)]]
+    tied = CostStats(t=rng.integers(0, 5, 30).astype(float), w=rng.integers(1, 3, 30).astype(float))
+    cases += [(tied, m) for m in (1, 7, 15, 30)]
+    fast = [solve_min_lambda(stats, m, GAMMA) for stats, m in cases]
+    monkeypatch.setattr(solver, "feasibility_test", _stable_sort_feasibility_test)
+    slow = [solve_min_lambda(stats, m, GAMMA) for stats, m in cases]
+    for a, b in zip(fast, slow):
+        assert a.lambda_star == b.lambda_star
+        assert a.bracket == b.bracket
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.selection.bits, b.selection.bits)
+
+
+def test_segmentation_is_bit_equal_with_stable_sort_reference(monkeypatch, synth_medium):
+    kw = dict(cv_threshold=8.0, size_grid=[10, 25, 50, 100, 200])
+    fast = segment_population(synth_medium, **kw)
+    monkeypatch.setattr(solver, "feasibility_test", _stable_sort_feasibility_test)
+    slow = segment_population(synth_medium, **kw)
+    assert len(fast.groups) == len(slow.groups)
+    for a, b in zip(fast.groups, slow.groups):
+        assert np.array_equal(a.members.bits, b.members.bits)
+        assert a.rate == b.rate
+        assert a.cv == b.cv
 
 
 def test_solve_singleton_is_min_ratio():

@@ -156,6 +156,37 @@ def test_selection_vector_rejects_out_of_range():
         SelectionVector.from_indices(3, [1, 1])
 
 
+@pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
+                                   "uint8", "uint16", "uint32", "uint64"])
+def test_selection_from_integer_ndarray(dtype):
+    sel = SelectionVector.from_indices(6, np.array([4, 0, 2], dtype=dtype))
+    assert sel.cardinality == 3
+    assert np.array_equal(sel.bits, [True, False, True, False, True, False])
+
+
+def test_selection_from_python_iterables():
+    for indices in ([4, 0, 2], (4, 0, 2), range(0, 6, 2), (i for i in [4, 0, 2])):
+        sel = SelectionVector.from_indices(6, indices)
+        assert sel.cardinality == 3
+        assert np.array_equal(sel.bits, [True, False, True, False, True, False])
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([-1], "out of range"),
+        (np.array([0, -3], dtype=np.int64), "out of range"),  # -3 must not wrap onto 0
+        (np.array([3], dtype=np.uint8), "out of range"),
+        ([1, 1], "must be unique"),
+        (np.array([2, 0, 2], dtype=np.int16), "must be unique"),
+        ([5, 5], "out of range"),  # the range is checked first
+    ],
+)
+def test_selection_from_indices_errors(indices, message):
+    with pytest.raises(ValueError, match=message):
+        SelectionVector.from_indices(3, indices)
+
+
 def test_cost_stats_validation():
     stats = CostStats(t=[1.0, 2.0], w=[1.0, 4.0])
     assert stats.n == 2
