@@ -276,10 +276,10 @@ def _run_solve(params):
         raise ValueError(f"m={params['m']} exceeds population size {dataset.n_consumers}")
     stats = consumer_stats(dataset)
     result = solve_min_lambda(stats, params["m"], params["gamma"])
-    bits = result.selection.bits
-    certificate = float((stats.t - result.lambda_star * stats.w)[bits].sum())
+    members = result.selection.indices
+    certificate = float((stats.t - result.lambda_star * stats.w)[members].sum())
     consumer_ids = dataset.consumer_ids
-    ids = [consumer_ids[i] for i in result.selection.indices]
+    ids = [consumer_ids[i] for i in members]
 
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)

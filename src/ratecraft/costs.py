@@ -92,8 +92,8 @@ def group_lambda(stats: CostStats, u: SelectionVector) -> float:
     """
     if u.n != stats.n:
         raise ValueError("selection length does not match stats")
-    bits = u.bits
-    return float(stats.t[bits].sum() / stats.w[bits].sum())
+    idx = u.indices
+    return float(stats.t[idx].sum() / stats.w[idx].sum())
 
 
 def realized_cost(

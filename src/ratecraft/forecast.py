@@ -101,6 +101,16 @@ def group_profile(dataset: Dataset, u: SelectionVector) -> np.ndarray:
     return (u.bits.astype(np.float64) @ flat).reshape(dataset.n_days, HOURS)
 
 
+def _require_usage(dataset: Dataset, u: SelectionVector, rows: np.ndarray, window: str):
+    """Refuse a group whose profile `rows` hold no usage, naming its first few members."""
+    if not rows.any():
+        ids = dataset.consumer_ids
+        named = ", ".join(ids[i] for i in u.indices[:5])
+        raise ValueError(
+            f"the group of {u.cardinality} consumer(s) has no usage in the {window}: {named}"
+        )
+
+
 def fit_profile(
     profile: np.ndarray, train_days: int, start_weekday: int, order: int
 ) -> GroupForecaster:
@@ -186,10 +196,14 @@ def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
 
 
 def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
-    """Fit on the training window, evaluate CV over the whole validate window."""
+    """Fit on the training window, evaluate CV over the whole validate window.
+
+    A group with no usage in the validate window has no CV, so that raises.
+    """
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
     profile = group_profile(dataset, u)
+    _require_usage(dataset, u, profile[dataset.train_days :], "validate window")
     model = fit_profile(profile, dataset.train_days, dataset.start_weekday, DEFAULT_AR_ORDER)
     preds = predict_rows(
         model, profile.sum(axis=1), dataset.train_days, dataset.n_days, dataset.start_weekday

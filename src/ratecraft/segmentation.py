@@ -72,9 +72,9 @@ class SegmentationResult:
         for g in self.groups:
             if g.members.n != n:
                 raise ValueError("all groups must index the same population")
-            if np.any(seen & g.members.bits):
+            if np.any(seen[g.members.indices]):
                 raise ValueError(f"group {g.round} overlaps an earlier group")
-            seen |= g.members.bits
+            seen[g.members.indices] = True
         if self.leftover_policy == "aggregate" and not np.all(seen):
             raise ValueError("aggregate policy requires the groups to cover the population")
 
@@ -209,7 +209,7 @@ def segment_population(
                 threshold_met=True,
             )
         )
-        pool = pool[~selection.bits[pool]]
+        pool = np.setdiff1d(pool, selection.indices, assume_unique=True)
 
     if pool.size and leftover_policy == "aggregate":
         if not has_validate_usage[pool].any():
@@ -261,20 +261,20 @@ def stability_audit(
                     magnitude=earlier.rate - later.rate - tol,
                 )
             )
-        bits = earlier.members.bits
-        t_sum = float(stats.t[bits].sum())
-        w_sum = float(stats.w[bits].sum())
-        for j in later.members.indices:
-            moves += 1
-            joined = (t_sum + float(stats.t[j])) / (w_sum + float(stats.w[j]))
-            if joined < earlier.rate - tol:
-                violations.append(
-                    StabilityViolation(
-                        kind="join_improves",
-                        earlier_round=earlier.round,
-                        later_round=later.round,
-                        consumer_index=int(j),
-                        magnitude=earlier.rate - tol - joined,
-                    )
+        members, joiners = earlier.members.indices, later.members.indices
+        moves += joiners.size
+        joined = (float(stats.t[members].sum()) + stats.t[joiners]) / (
+            float(stats.w[members].sum()) + stats.w[joiners]
+        )
+        improves = joined < earlier.rate - tol
+        for j, rate in zip(joiners[improves].tolist(), joined[improves].tolist()):
+            violations.append(
+                StabilityViolation(
+                    kind="join_improves",
+                    earlier_round=earlier.round,
+                    later_round=later.round,
+                    consumer_index=j,
+                    magnitude=earlier.rate - tol - rate,
                 )
+            )
     return StabilityReport(pairs_checked=pairs, moves_checked=moves, violations=tuple(violations))

@@ -24,7 +24,14 @@ from .costs import (
     realized_cost,
     realized_rate,
 )
-from .forecast import DEFAULT_AR_ORDER, fit_profile, group_profile, predict_rows, residual_sigma
+from .forecast import (
+    DEFAULT_AR_ORDER,
+    _require_usage,
+    fit_profile,
+    group_profile,
+    predict_rows,
+    residual_sigma,
+)
 from .types import Dataset, SelectionVector
 
 
@@ -56,11 +63,10 @@ def replay_validate(
     residuals inside the training window; the expected real-time price is the
     training window's per-hour mean. History fed to the forecaster uses
     actual totals (day-ahead operation always knows yesterday's meter data).
+    A selection with no usage in the replayed days raises, naming its members.
     """
     if selection is None:
-        selection = SelectionVector(
-            bits=np.ones(dataset.n_consumers, dtype=bool), cardinality=dataset.n_consumers
-        )
+        selection = SelectionVector(dataset.n_consumers, np.arange(dataset.n_consumers))
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
     total_days = dataset.validate_days if n_days is None else int(n_days)
@@ -69,6 +75,9 @@ def replay_validate(
 
     train_days, start_weekday = dataset.train_days, dataset.start_weekday
     profile = group_profile(dataset, selection)
+    _require_usage(
+        dataset, selection, profile[train_days : train_days + total_days], "replayed days"
+    )
     model = fit_profile(profile, train_days, start_weekday, DEFAULT_AR_ORDER)
     error_model = residual_sigma(profile, model, model.order, train_days, start_weekday)
     q_mean = mean_real_time_price(dataset)

@@ -1,7 +1,8 @@
 """Core domain types shared across the toolkit.
 
 Conventions: energy is kWh, prices are cents/kWh, and every time series is a
-(days x 24) matrix over consecutive calendar days. Instances are immutable
+(days x 24) matrix over consecutive calendar days. A group of consumers is a
+SelectionVector, which holds its members' indices. Instances are immutable
 after construction (arrays are marked read-only) and therefore safe to share
 across threads. Constructors validate their invariants and raise ValueError
 instead of silently repairing bad input.
@@ -10,6 +11,7 @@ instead of silently repairing bad input.
 from __future__ import annotations
 
 import datetime as dt
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -181,43 +183,41 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SelectionVector:
-    """Binary membership vector over a consumer population."""
+    """A nonempty group out of n consumers: the selection vector u in {0,1}^n.
 
-    bits: np.ndarray
-    cardinality: int
+    `indices` holds the members (read-only, ascending, distinct intp); `bits` builds the mask.
+    """
+
+    n: int
+    indices: np.ndarray
 
     def __post_init__(self):
-        bits = np.array(self.bits, dtype=bool)
-        if bits.ndim != 1:
-            raise ValueError("bits must be a 1-D vector")
-        n_set = int(bits.sum())
-        if n_set != self.cardinality:
-            raise ValueError(f"{n_set} bits set but cardinality says {self.cardinality}")
-        if not (1 <= self.cardinality <= bits.size):
-            raise ValueError(f"cardinality must be in [1, {bits.size}], got {self.cardinality}")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", operator.index(self.n))
+        indices = self.indices if isinstance(self.indices, np.ndarray) else list(self.indices)
+        idx = np.sort(np.asarray(indices, dtype=np.intp), axis=None)
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
+            raise ValueError(f"selection indices out of range for population of {self.n}")
+        if np.count_nonzero(idx[1:] == idx[:-1]):
+            raise ValueError("selection indices must be unique")
+        if idx.size < 1:
+            raise ValueError(f"cardinality must be in [1, {self.n}], got {idx.size}")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "SelectionVector":
-        if not isinstance(indices, np.ndarray):
-            indices = list(indices)
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(f"selection indices out of range for population of {n}")
-        bits = np.zeros(n, dtype=bool)
-        bits[idx] = True
-        if np.count_nonzero(bits) != idx.size:
-            raise ValueError("selection indices must be unique")
-        return cls(bits=bits, cardinality=int(idx.size))
+        return cls(n, indices)
 
     @property
-    def n(self) -> int:
-        return int(self.bits.size)
+    def cardinality(self) -> int:
+        return int(self.indices.size)
 
     @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
+    def bits(self) -> np.ndarray:
+        bits = np.zeros(self.n, dtype=bool)
+        bits[self.indices] = True
+        bits.setflags(write=False)
+        return bits
 
 
 @dataclass(frozen=True)

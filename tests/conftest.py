@@ -43,6 +43,17 @@ def make_dataset(usages, da, rt=None, train_days=None, ids=None, start=START):
     return Dataset(consumers, prices, train_days=train_days, validate_days=days - train_days)
 
 
+def vacate_validate(ds, members, days=None):
+    """ds where `members` use nothing on the first `days` validate days (default: all)."""
+    stop = ds.n_days if days is None else ds.train_days + days
+    consumers = list(ds.consumers)
+    for i in members:
+        usage = consumers[i].usage.values.copy()
+        usage[ds.train_days : stop] = 0.0
+        consumers[i] = ConsumerSeries(consumers[i].consumer_id, HourlyMatrix(usage, ds.start_date))
+    return Dataset(consumers, ds.prices, ds.train_days, ds.validate_days)
+
+
 @pytest.fixture(scope="session")
 def synth_small():
     return synth_population(SynthSpec(n_consumers=40, n_days=40, seed=3))

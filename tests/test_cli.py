@@ -3,9 +3,18 @@ from pathlib import Path
 
 import pytest
 
+from conftest import vacate_validate
 from ratecraft.cli import main
 from ratecraft.costs import consumer_stats
-from ratecraft.ingest import align, load_meter_csv, load_price_csv
+from ratecraft.ingest import (
+    SynthSpec,
+    align,
+    load_meter_csv,
+    load_price_csv,
+    synth_population,
+    write_meter_csv,
+    write_price_csv,
+)
 from ratecraft.solver import brute_force_min_lambda
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -265,6 +274,25 @@ def test_simulate_with_selection_file(tmp_path, capsys):
         "--selection", str(tmp_path / "selection.csv"), "--out-dir", str(tmp_path),
     ])
     assert rc == 0
+
+
+def test_group_vacant_in_the_validate_window_is_named(tmp_path, capsys):
+    ds = synth_population(SynthSpec(n_consumers=30, n_days=40, seed=3))
+    cheapest = int(consumer_stats(ds).ratios.argmin())
+    cid = ds.consumer_ids[cheapest]
+    write_meter_csv(list(vacate_validate(ds, [cheapest]).consumers), tmp_path / "meter.csv")
+    write_price_csv(ds.prices, tmp_path / "prices.csv")
+    (tmp_path / "selection.csv").write_text(f"consumer_id\n{cid}\n")
+    data = ["--meter", str(tmp_path / "meter.csv"), "--prices", str(tmp_path / "prices.csv"),
+            "--out-dir", str(tmp_path)]
+    assert main(["curves", "--sizes", "1,5", "--trials", "3", *data]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the group of 1 consumer(s) has no usage in the validate window: {cid}\n"
+    )
+    assert main(["simulate", "--selection", str(tmp_path / "selection.csv"), *data]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the group of 1 consumer(s) has no usage in the replayed days: {cid}\n"
+    )
 
 
 def test_simulate_takes_no_gamma(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, vacate_validate
 from ratecraft.forecast import (
     DEFAULT_AR_ORDER,
     CvPoint,
@@ -224,6 +224,23 @@ def test_backtest_requires_validate_days():
     ds = make_dataset([np.ones((20, 24))], da=np.ones(24), train_days=20)
     with pytest.raises(ValueError, match="validate window is empty"):
         backtest_cv(ds, _everyone(ds))
+
+
+def test_backtest_refuses_a_group_vacant_in_the_validate_window():
+    ds = synth_population(SynthSpec(n_consumers=30, n_days=40, seed=3))
+    vacant = vacate_validate(ds, range(7))
+    ids = ds.consumer_ids
+    with pytest.raises(ValueError) as one:
+        backtest_cv(vacant, SelectionVector.from_indices(30, [4]))
+    assert str(one.value) == (
+        f"the group of 1 consumer(s) has no usage in the validate window: {ids[4]}"
+    )
+    with pytest.raises(ValueError) as seven:
+        backtest_cv(vacant, SelectionVector.from_indices(30, range(7)))
+    assert str(seven.value) == (
+        "the group of 7 consumer(s) has no usage in the validate window: " + ", ".join(ids[:5])
+    )
+    backtest_cv(vacant, SelectionVector.from_indices(30, [4, 20]))  # one active member suffices
 
 
 def test_forecaster_roughly_unbiased(synth_medium):

@@ -8,6 +8,8 @@ from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.segmentation import (
     SegmentGroup,
     SegmentationResult,
+    StabilityReport,
+    StabilityViolation,
     default_size_grid,
     segment_population,
     stability_audit,
@@ -213,6 +215,71 @@ def test_stability_audit_flags_misassignment():
     join = [v for v in report.violations if v.kind == "join_improves"][0]
     assert join.consumer_index == 2
     assert join.magnitude > 0
+
+
+def _audit_one_move_at_a_time(result, stats, gamma):
+    """stability_audit with its join check as a Python loop over the later group's members."""
+    met = sorted(result.threshold_met_groups(), key=lambda g: g.round)
+    violations, pairs, moves, tol = [], 0, 0, 2.0 * gamma
+    for earlier, later in zip(met, met[1:]):
+        pairs += 1
+        if earlier.rate > later.rate + tol:
+            violations.append(StabilityViolation(
+                "rate_order", earlier.round, later.round, None, earlier.rate - later.rate - tol))
+        bits = earlier.members.bits
+        t_sum = float(stats.t[bits].sum())
+        w_sum = float(stats.w[bits].sum())
+        for j in later.members.indices:
+            moves += 1
+            joined = (t_sum + float(stats.t[j])) / (w_sum + float(stats.w[j]))
+            if joined < earlier.rate - tol:
+                violations.append(StabilityViolation(
+                    "join_improves", earlier.round, later.round, int(j),
+                    earlier.rate - tol - joined))
+    return StabilityReport(pairs_checked=pairs, moves_checked=moves, violations=tuple(violations))
+
+
+def _random_segmentation(rng, stats):
+    """The population cut into random groups in random order, some of them not threshold-met."""
+    cuts = np.sort(rng.choice(np.arange(1, stats.n), size=rng.integers(1, 6), replace=False))
+    groups = []
+    for k, members in enumerate(np.split(rng.permutation(stats.n), cuts)):
+        sel = SelectionVector.from_indices(stats.n, members)
+        groups.append(SegmentGroup(round=k + 1, members=sel, size=sel.cardinality,
+                                   rate=group_lambda(stats, sel), cv=1.0,
+                                   threshold_met=bool(rng.random() < 0.8)))
+    return SegmentationResult(groups=tuple(groups), cv_threshold=10.0, leftover_policy="aggregate")
+
+
+def test_stability_audit_equals_one_move_at_a_time():
+    corrupted_stats = CostStats(t=[10.0, 10.0, 1.0], w=[1.0, 1.0, 1.0])
+    g1 = SelectionVector.from_indices(3, [0, 1])
+    g2 = SelectionVector.from_indices(3, [2])
+    corrupted = SegmentationResult(
+        groups=(
+            SegmentGroup(round=1, members=g1, size=2, rate=group_lambda(corrupted_stats, g1),
+                         cv=5.0, threshold_met=True),
+            SegmentGroup(round=2, members=g2, size=1, rate=group_lambda(corrupted_stats, g2),
+                         cv=5.0, threshold_met=True),
+        ),
+        cv_threshold=10.0,
+        leftover_policy="aggregate",
+    )
+    cases = [(corrupted, corrupted_stats, GAMMA)]
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(6, 60))
+        stats = CostStats(t=rng.uniform(0.0, 30.0, n), w=rng.uniform(0.5, 20.0, n))
+        cases.append((_random_segmentation(rng, stats), stats, float(rng.choice([GAMMA, 0.05]))))
+    joins = 0
+    for result, stats, gamma in cases:
+        got = stability_audit(result, stats, gamma)
+        assert got == _audit_one_move_at_a_time(result, stats, gamma)
+        for v in got.violations:
+            assert v.consumer_index is None or type(v.consumer_index) is int
+            assert type(v.magnitude) is float
+        joins += sum(v.kind == "join_improves" for v in got.violations)
+    assert joins > 40
 
 
 def test_stability_audit_single_group_vacuous():

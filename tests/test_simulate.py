@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import vacate_validate
 from ratecraft.costs import expected_penalty, mean_real_time_price
 from ratecraft.forecast import DEFAULT_AR_ORDER, fit_profile, group_profile, residual_sigma
 from ratecraft.ingest import SynthSpec, synth_population
@@ -93,6 +94,18 @@ def test_replay_day_limit_and_validation():
         replay_validate(ds, n_days=0)
     with pytest.raises(ValueError, match="n_days"):
         replay_validate(ds, n_days=ds.validate_days + 1)
+
+
+def test_replay_refuses_a_selection_vacant_in_the_replayed_days():
+    ds = synth_population(SynthSpec(n_consumers=30, n_days=40, seed=3))
+    sel = SelectionVector.from_indices(30, [4])
+    late_start = vacate_validate(ds, [4], days=2)  # usage again from the third validate day
+    message = f"the group of 1 consumer(s) has no usage in the replayed days: {ds.consumer_ids[4]}"
+    for vacant, n_days in ((vacate_validate(ds, [4]), None), (late_start, 2)):
+        with pytest.raises(ValueError) as exc:
+            replay_validate(vacant, sel, design="one_sided", n_days=n_days)
+        assert str(exc.value) == message
+    assert replay_validate(late_start, sel, design="one_sided", n_days=3).demand_kwh > 0
 
 
 def test_replay_requires_validate_window():

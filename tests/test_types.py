@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratecraft.types import (
     ConsumerSeries,
@@ -139,14 +141,9 @@ def test_selection_vector_roundtrip():
     assert list(sel.indices) == [1, 3]
 
 
-def test_selection_vector_rejects_bad_cardinality():
-    with pytest.raises(ValueError, match="cardinality"):
-        SelectionVector(bits=np.array([True, False, True]), cardinality=1)
-
-
 def test_selection_vector_rejects_empty():
     with pytest.raises(ValueError, match="cardinality must be in"):
-        SelectionVector(bits=np.zeros(3, dtype=bool), cardinality=0)
+        SelectionVector(3, [])
 
 
 def test_selection_vector_rejects_out_of_range():
@@ -185,6 +182,60 @@ def test_selection_from_python_iterables():
 def test_selection_from_indices_errors(indices, message):
     with pytest.raises(ValueError, match=message):
         SelectionVector.from_indices(3, indices)
+
+
+INTEGER_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
+
+
+def _mask_rules(n, indices):
+    """The rules of a selection stored as a 0/1 mask: range first, then uniqueness, then size."""
+    if not isinstance(indices, np.ndarray):
+        indices = list(indices)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"selection indices out of range for population of {n}")
+    bits = np.zeros(n, dtype=bool)
+    bits[idx] = True
+    if np.count_nonzero(bits) != idx.size:
+        raise ValueError("selection indices must be unique")
+    if not (1 <= idx.size <= n):
+        raise ValueError(f"cardinality must be in [1, {n}], got {idx.size}")
+    return bits
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(0, 12),
+    values=st.lists(st.integers(-3, 15), max_size=14),
+    form=st.sampled_from(INTEGER_DTYPES + ["list", "tuple", "generator"]),
+)
+def test_selection_vector_matches_mask_rules(n, values, form):
+    if form.startswith("uint"):
+        values = [abs(v) for v in values]
+
+    def indices():
+        if form == "list":
+            return list(values)
+        if form == "tuple":
+            return tuple(values)
+        if form == "generator":
+            return (v for v in values)
+        return np.array(values, dtype=form)
+
+    try:
+        want = _mask_rules(n, indices())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            SelectionVector(n, indices())
+        assert str(got.value) == str(exc)
+        return
+    for sel in (SelectionVector(n, indices()), SelectionVector.from_indices(n, indices())):
+        assert sel.n == n
+        assert sel.indices.dtype == np.intp
+        assert np.array_equal(sel.indices, np.flatnonzero(want))
+        assert np.array_equal(sel.bits, want)
+        assert sel.cardinality == np.count_nonzero(want)
+        assert not sel.indices.flags.writeable and not sel.bits.flags.writeable
 
 
 def test_cost_stats_validation():
