@@ -8,7 +8,8 @@ config file (--config, keys mirror flag names with underscores) > built-in
 default before checking it; the defaults are visible in each subcommand's
 --help. An unknown config key, a `config` key, or a config value that its
 parameter's type would reject or change (a path or choice must be a JSON
-string, a size list a string or a list of ints), is a usage error. All
+string, a size list a string of comma-separated integers or a list of ints),
+is a usage error that names the file and key. `synth` reads no split. All
 randomized procedures derive their streams from the single --seed. Output
 files are written atomically (unique temp file + rename) with fixed numeric
 formatting, so re-running a command with identical flags and seed yields
@@ -56,15 +57,26 @@ class _Param:
     default: object
     help: str
     commands: tuple[str, ...]  # the subcommands that take the flag
-    config_only: tuple[str, ...] = ()  # subcommands that read it from config or default
     choices: Optional[tuple[str, ...]] = None
     check: Optional[tuple[Callable, str]] = None  # (valid(value), message if not)
     required: bool = False
-    int_list: bool = False  # a config file may also give a JSON list of ints
+    parse: Optional[Callable] = None  # turns flag text or a config value into the value
 
     @property
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
+
+
+def _size_list(value) -> list[int]:
+    """The sorted distinct sizes in a comma-separated string or a list of ints."""
+    if isinstance(value, list) and all(type(v) is int for v in value):
+        return sorted(set(value))
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string or a list of integers, got {value!r}")
+    try:
+        return sorted({int(tok) for tok in value.split(",") if tok.strip()})
+    except ValueError:
+        raise ValueError(f"expected a comma-separated list of integers, got {value!r}") from None
 
 
 _PARAMS = (
@@ -78,7 +90,7 @@ _PARAMS = (
     _Param("meter", str, None, "meter CSV path", _DATA, required=True),
     _Param("prices", str, None, "price CSV path", _DATA, required=True),
     _Param("split", float, DEFAULT_TRAIN_SPLIT, "train fraction of days", _DATA,
-           config_only=("synth",), check=(lambda v: 0.0 < v <= 1.0, "split must be in (0, 1]")),
+           check=(lambda v: 0.0 < v <= 1.0, "split must be in (0, 1]")),
     _Param("n", int, 200, "number of consumers", ("synth",)),
     _Param("days", int, 90, "number of days", ("synth",)),
     _Param("fraction_peaky", float, 0.5, "share of evening-peaking consumers", ("synth",)),
@@ -87,7 +99,8 @@ _PARAMS = (
     _Param("m", int, None, "group size", ("solve",), required=True,
            check=(lambda v: v >= 1, "m must be >= 1")),
     _Param("sizes", str, None, "comma-separated group sizes (default: log-spaced grid)",
-           ("curves",), int_list=True),
+           ("curves",), parse=_size_list,
+           check=(lambda v: bool(v) and v[0] >= 1, "sizes must be positive integers")),
     _Param("trials", int, 30, "random groups per size", ("curves",),
            check=(lambda v: v >= 1, "trials must be >= 1")),
     _Param("cv_threshold", float, 10.0, "forecast-error limit in percent", ("segment",),
@@ -95,7 +108,8 @@ _PARAMS = (
     _Param("policy", str, "aggregate", "leftover policy", ("segment",),
            choices=("aggregate", "drop")),
     _Param("size_grid", str, None, "comma-separated candidate sizes (default: log-spaced grid)",
-           ("segment",), int_list=True),
+           ("segment",), parse=_size_list,
+           check=(lambda v: bool(v) and v[0] >= 1, "size-grid must be positive integers")),
     _Param("selection", str, None, "selection CSV of consumer ids (default: everyone)",
            ("simulate",)),
     _Param("design", str, "two_sided", "settlement design", ("simulate",),
@@ -120,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ratecraft {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, _) in _COMMANDS.items():
+    for command, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for param in _PARAMS:
             if command in param.commands:
@@ -150,15 +164,18 @@ def _load_config(path) -> dict:
 def _config_value(path, param: _Param, value):
     """`value` as `param.type`, refused if it fails to convert or would change (a bool, 2.7 as int).
 
-    A str parameter takes only a JSON string, and a size list also a JSON list of ints.
+    A str parameter takes only a JSON string; a parameter with `parse` takes what that takes.
     """
     key, kind = param.name, param.type
+    if param.parse is not None:
+        try:
+            return param.parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: config key {key!r}: {exc}") from None
     if kind is str:
-        if isinstance(value, str) or (param.int_list and isinstance(value, list)
-                                      and all(type(v) is int for v in value)):
+        if isinstance(value, str):
             return value
-        expected = "a string or a list of integers" if param.int_list else "str"
-        raise ValueError(f"{path}: config key {key!r}: expected {expected}, got {value!r}")
+        raise ValueError(f"{path}: config key {key!r}: expected str, got {value!r}")
     try:
         converted = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -171,12 +188,14 @@ def _config_value(path, param: _Param, value):
 
 def _resolve(command: str, args, cfg: dict) -> dict:
     """Every parameter `command` reads, as flag > config > default, converted and checked."""
-    params_of = [p for p in _PARAMS if command in p.commands + p.config_only]
+    params_of = [p for p in _PARAMS if command in p.commands]
     params = {}
     for p in params_of:
         value = getattr(args, p.name, None)
         if value is None:
             value = cfg.get(p.name, p.default)
+        elif p.parse is not None:
+            value = p.parse(value)
         params[p.name] = value
     for p in params_of:
         value = params[p.name]
@@ -190,33 +209,8 @@ def _resolve(command: str, args, cfg: dict) -> dict:
     return params
 
 
-def _parse_int_list(text) -> list[int]:
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"expected a comma-separated list of integers, got {text!r}") from None
-
-
-def _check_sizes(params, key):
-    """Replace a comma-separated size list by its sorted distinct positive sizes."""
-    if params[key] is None:
-        return
-    sizes = sorted(set(_parse_int_list(params[key])))
-    if not sizes or sizes[0] < 1:
-        raise ValueError(f"{key.replace('_', '-')} must be positive integers")
-    params[key] = sizes
-
-
-def _check_validate_window(params):
-    """Reject split 1.0 for the commands that score forecasts on the validate window."""
-    if params["split"] == 1.0:
-        raise ValueError("split must be < 1: the validate window would be empty")
-
-
 class _UsageError(ValueError):
-    """A parameter that only the loaded data shows to be unusable (exit 2, not 1)."""
+    """A parameter found unusable once its command runs, mostly by its data (exit 2, not 1)."""
 
 
 def _load_dataset(params) -> Dataset:
@@ -226,7 +220,9 @@ def _load_dataset(params) -> Dataset:
 
 
 def _load_split_dataset(params) -> Dataset:
-    """Load, then reject a split that leaves no validate day or too few training days."""
+    """Reject split 1.0 unloaded, then a split that leaves no validate day or too few train days."""
+    if params["split"] == 1.0:
+        raise _UsageError("split must be < 1: the validate window would be empty")
     dataset = _load_dataset(params)
     if dataset.validate_days < 1:
         raise _UsageError("validate window is empty")
@@ -242,27 +238,25 @@ def _write_text(path: Path, text: str):
 # -- synth ------------------------------------------------------------------
 
 
-def _synth_spec(params) -> SynthSpec:
-    return SynthSpec(
-        n_consumers=params["n"],
-        n_days=params["days"],
-        fraction_peaky=params["fraction_peaky"],
-        base_kwh_per_day=params["base_kwh"],
-        noise_cv=params["noise_cv"],
-        seed=params["seed"],
-    )
-
-
 def _run_synth(params):
-    spec = _synth_spec(params)
-    dataset = synth_population(spec, split=params["split"])
+    try:
+        spec = SynthSpec(
+            n_consumers=params["n"],
+            n_days=params["days"],
+            fraction_peaky=params["fraction_peaky"],
+            base_kwh_per_day=params["base_kwh"],
+            noise_cv=params["noise_cv"],
+            seed=params["seed"],
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    dataset = synth_population(spec)
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_meter_csv(list(dataset.consumers), out / "meter.csv")
     write_price_csv(dataset.prices, out / "prices.csv")
     n_peaky = sum(1 for c in dataset.consumers if c.consumer_id.startswith("peak"))
-    print(f"consumers={dataset.n_consumers} days={dataset.n_days} "
-          f"train_days={dataset.train_days} validate_days={dataset.validate_days}")
+    print(f"consumers={dataset.n_consumers} days={dataset.n_days}")
     print(f"archetypes: peak={n_peaky} night={dataset.n_consumers - n_peaky}")
     print(f"wrote {out / 'meter.csv'} and {out / 'prices.csv'}")
 
@@ -399,7 +393,7 @@ def _run_segment(params):
 
 
 def _read_selection_ids(path) -> list[str]:
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().removeprefix("\ufeff").splitlines()
     if not lines or lines[0] != "consumer_id":
         raise ValueError(f"{path}: expected a selection CSV with header consumer_id")
     ids = [line for line in lines[1:] if line]
@@ -447,17 +441,12 @@ def _run_simulate(params):
     print(f"wrote {out / 'settlement.csv'}")
 
 
-_COMMANDS = {  # name: (help, extra checks on resolved params, run)
-    "synth": ("write a synthetic meter and price CSV pair", (_synth_spec,), _run_synth),
-    "solve": ("find the minimum-rate group of a given size", (), _run_solve),
-    "curves": ("rate and forecast-error curves over group sizes",
-               (_check_validate_window, lambda params: _check_sizes(params, "sizes")),
-               _run_curves),
-    "segment": ("partition the population into rate groups",
-                (_check_validate_window, lambda params: _check_sizes(params, "size_grid")),
-                _run_segment),
-    "simulate": ("replay the validate window under realized prices",
-                 (_check_validate_window,), _run_simulate),
+_COMMANDS = {  # name: (help, run)
+    "synth": ("write a synthetic meter and price CSV pair", _run_synth),
+    "solve": ("find the minimum-rate group of a given size", _run_solve),
+    "curves": ("rate and forecast-error curves over group sizes", _run_curves),
+    "segment": ("partition the population into rate groups", _run_segment),
+    "simulate": ("replay the validate window under realized prices", _run_simulate),
 }
 
 
@@ -467,11 +456,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    _, checks, execute = _COMMANDS[args.command]
+    _, execute = _COMMANDS[args.command]
     try:
         params = _resolve(args.command, args, _load_config(args.config))
-        for check in checks:
-            check(params)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

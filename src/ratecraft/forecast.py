@@ -236,12 +236,15 @@ def cv_curve(
     a 95% band (mean +/- 1.96 sample standard deviations), plus the CV of the
     minimum-rate group of size M solved on the training window. Trial k at
     size index s draws from default_rng([seed, s, k]), so results are
-    reproducible and independent of evaluation order.
+    reproducible and independent of evaluation order. Sizes must be distinct,
+    since each has one band.
     """
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
     if n_random_trials < 1:
         raise ValueError("n_random_trials must be >= 1")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError("sizes must be distinct")
     n = dataset.n_consumers
     stats = consumer_stats(dataset)
     points: list[CvPoint] = []

@@ -7,10 +7,11 @@ dates ISO-8601 and consecutive per consumer, values in kWh written with
 exactly 4 fractional digits. A consumer id may not hold a comma, a double
 quote or a line break, so that it is always one plain CSV field.
 
-Written lines end in CRLF; LF and CRLF line ends are both read. The meter
-file is read in bulk (ids and dates in one pass over its lines, the values by
-``np.loadtxt``); a file that pass rejects is parsed again row by row, only to
-name the row or consumer at fault.
+Written lines end in CRLF; LF and CRLF line ends are both read, and one
+leading UTF-8 byte-order mark is skipped. The meter file is read in bulk (ids
+and dates in one pass over its lines, the values by ``np.loadtxt``); a file
+that pass rejects is parsed again row by row, only to name the row or
+consumer at fault.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
 ``#unit=usd_per_mwh``, then header ``date,market,h00,...,h23`` with market
@@ -70,6 +71,12 @@ class SynthSpec:
             raise ValueError("noise_cv must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+def _skip_bom(fh):
+    """Move past one leading UTF-8 byte-order mark, if the text file starts with one."""
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
 
 
 def _parse_date(text: str, lineno: int, path: str) -> dt.date:
@@ -139,6 +146,7 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
     ordinal_of: dict[str, int] = {}  # date text -> date ordinal
     consumer_of_row, ordinal_of_row = [], []
     with open(path, newline="") as fh:
+        _skip_bom(fh)
         if fh.readline().rstrip("\r\n") != _METER_HEADER_LINE:
             raise ValueError("not the meter header")
         for lineno, line in enumerate(fh, start=2):
@@ -186,6 +194,7 @@ def _load_meter_rows(path: str) -> list[ConsumerSeries]:
     """The row-by-row meter parser: slow, but its errors name the file row or consumer."""
     rows_by_consumer: dict[str, list[tuple[dt.date, np.ndarray]]] = {}
     with open(path, newline="") as fh:
+        _skip_bom(fh)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != METER_HEADER:
@@ -219,6 +228,7 @@ def load_price_csv(path) -> PriceSeries:
     """Load aligned DA/RT prices, converting to cents/kWh per the unit line."""
     path = str(path)
     with open(path, newline="") as fh:
+        _skip_bom(fh)
         first = fh.readline().strip()
         if not first.startswith("#unit="):
             raise ValueError(f"{path}: missing #unit= metadata line")

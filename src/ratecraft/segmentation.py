@@ -242,8 +242,12 @@ def stability_audit(
     (a) the earlier rate is no higher than the later rate, within 2*gamma;
     (b) no member of group i+1 would lower group i's rate by joining it,
         within 2*gamma.
-    Report-only: violations are returned with magnitudes, never raised.
+    Report-only: violations are returned with magnitudes, never raised. Stats
+    over another population than the groups' are a ValueError.
     """
+    if result.groups and result.groups[0].members.n != stats.n:
+        raise ValueError(f"the groups index {result.groups[0].members.n} consumers, "
+                         f"the stats {stats.n}")
     met = sorted(result.threshold_met_groups(), key=lambda g: g.round)
     violations: list[StabilityViolation] = []
     pairs = 0

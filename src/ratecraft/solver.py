@@ -79,9 +79,10 @@ def solve_min_lambda(stats: CostStats, m: int, gamma: float = DEFAULT_GAMMA) -> 
     lo = float(ratios.min())
     hi = float(ratios.max())
     if hi - lo <= gamma:
-        # All individual rates coincide within tolerance: any M consumers do.
+        # All individual rates coincide within tolerance: any M consumers do, and the largest
+        # rate, which bounds every group's rate, keeps the certificate.
         selection = SelectionVector.from_indices(stats.n, range(m))
-        return SolveResult(lambda_star=lo, selection=selection, iterations=0, bracket=(lo, hi))
+        return SolveResult(lambda_star=hi, selection=selection, iterations=0, bracket=(lo, hi))
 
     best = feasibility_test(stats, hi, m)
     assert best is not None  # the max ratio is always feasible

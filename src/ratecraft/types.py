@@ -181,11 +181,12 @@ class Dataset:
         return self.prices.day_ahead.date_of_row(row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionVector:
     """A nonempty group out of n consumers: the selection vector u in {0,1}^n.
 
     `indices` holds the members (read-only, ascending, distinct intp); `bits` builds the mask.
+    Two selections are equal, and hash alike, when they have the same n and members.
     """
 
     n: int
@@ -203,6 +204,14 @@ class SelectionVector:
             raise ValueError(f"cardinality must be in [1, {self.n}], got {idx.size}")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
+
+    def __eq__(self, other):
+        if not isinstance(other, SelectionVector):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self):
+        return hash((self.n, self.indices.tobytes()))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "SelectionVector":

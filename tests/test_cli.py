@@ -386,3 +386,63 @@ def test_config_size_list_may_be_a_json_list(tmp_path, capsys):
     assert main(["segment", "--meter", METER, "--prices", PRICES, "--cv-threshold", "50",
                  "--size-grid", "3,6,12", "--out-dir", str(flag_dir)]) == 0
     assert (tmp_path / "rounds.csv").read_bytes() == (flag_dir / "rounds.csv").read_bytes()
+
+
+_NOT_INTS = "error: expected a comma-separated list of integers, got {!r}\n"
+_SPLIT_ONE = "error: split must be < 1: the validate window would be empty\n"
+
+
+@pytest.mark.parametrize("argv, size_grid, err", [
+    (["curves", "--sizes", "a,b"], None, _NOT_INTS.format("a,b")),
+    (["curves", "--sizes", "0,2"], None, "error: sizes must be positive integers\n"),
+    (["curves", "--sizes", ","], None, "error: sizes must be positive integers\n"),
+    (["segment", "--size-grid", "x"], None, _NOT_INTS.format("x")),
+    (["segment", "--size-grid", "0"], None, "error: size-grid must be positive integers\n"),
+    (["segment"], {}, "error: {cfg}: config key 'size_grid': "
+                      "expected a string or a list of integers, got {{}}\n"),
+    (["segment"], [3, 2.5], "error: {cfg}: config key 'size_grid': "
+                            "expected a string or a list of integers, got [3, 2.5]\n"),
+    (["segment"], "a", "error: {cfg}: config key 'size_grid': "
+                       "expected a comma-separated list of integers, got 'a'\n"),
+    (["segment"], [0], "error: size-grid must be positive integers\n"),
+    (["curves", "--split", "1.0"], None, _SPLIT_ONE),
+    (["segment", "--split", "1.0"], None, _SPLIT_ONE),
+    (["simulate", "--split", "1.0"], None, _SPLIT_ONE),
+    (["curves", "--split", "1.0", "--sizes", "a"], None, _NOT_INTS.format("a")),
+    (["synth", "--noise-cv", "-1"], None, "error: noise_cv must be >= 0\n"),
+    (["synth", "--n", "0"], None, "error: n_consumers must be >= 1\n"),
+    (["synth", "--seed", "-1"], None, "error: seed must be >= 0\n"),
+], ids=["sizes-letters", "sizes-zero", "sizes-empty", "grid-letter", "grid-zero",
+        "config-object", "config-fraction", "config-letter", "config-zero",
+        "split-curves", "split-segment", "split-simulate", "sizes-before-split",
+        "synth-noise", "synth-n", "synth-seed"])
+def test_parameter_errors_exit_2_with_exact_message(tmp_path, capsys, argv, size_grid, err):
+    cfg = tmp_path / "config.json"
+    if size_grid is not None:
+        cfg.write_text(json.dumps({"size_grid": size_grid}))
+        argv = argv + ["--config", str(cfg)]
+    if argv[0] != "synth":
+        argv = argv + ["--meter", METER, "--prices", PRICES]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == err.format(cfg=cfg)
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_reports_consumers_and_days_only(tmp_path, capsys):
+    assert main(_synth_args(tmp_path, n=12, days=24)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "consumers=12 days=24"
+
+
+def test_selection_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    assert main(["solve", "--meter", METER, "--prices", PRICES, "--m", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    plain = tmp_path / "selection.csv"
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for name, selection in (("plain", plain), ("bom", bom)):
+        assert main(["simulate", "--meter", METER, "--prices", PRICES,
+                     "--selection", str(selection), "--out-dir", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "plain" / "settlement.csv").read_bytes()
+            == (tmp_path / "bom" / "settlement.csv").read_bytes())

@@ -322,3 +322,8 @@ def test_cv_point_validation():
         CvPoint(m=1, kind="best", cv=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         CvPoint(m=1, kind="random", cv=-0.1)
+
+
+def test_cv_curve_refuses_duplicate_sizes(synth_medium):
+    with pytest.raises(ValueError, match="sizes must be distinct"):
+        cv_curve(synth_medium, [5, 5], n_random_trials=2)

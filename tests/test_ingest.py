@@ -460,3 +460,21 @@ def test_meter_loader_equals_row_parser(tmp_path, text):
     path = tmp_path / "meter.csv"
     path.write_text(text, newline="")
     assert _loaded(load_meter_csv, path) == _loaded(_load_meter_rows, path)
+
+
+def test_utf8_byte_order_mark_is_skipped(tmp_path):
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    meter = os.path.join(fixtures, "meter_n12.csv")
+    prices = os.path.join(fixtures, "prices_n12.csv")
+    bom_meter, bom_prices = tmp_path / "meter.csv", tmp_path / "prices.csv"
+    for src, dst in ((meter, bom_meter), (prices, bom_prices)):
+        with open(src, "rb") as fh:
+            dst.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    expected = _loaded(load_meter_csv, meter)
+    assert isinstance(expected, list)
+    assert _loaded(_load_meter_bulk, bom_meter) == expected
+    assert _loaded(_load_meter_rows, bom_meter) == expected
+    a, b = load_price_csv(prices), load_price_csv(bom_prices)
+    assert a.start_date == b.start_date
+    assert np.array_equal(a.day_ahead.values, b.day_ahead.values)
+    assert np.array_equal(a.real_time.values, b.real_time.values)

@@ -291,3 +291,20 @@ def test_stability_audit_single_group_vacuous():
     assert report.ok
     assert report.pairs_checked == 0
     assert report.moves_checked == 0
+
+
+@pytest.mark.parametrize("n_stats", [2, 5])
+def test_stability_audit_refuses_stats_of_another_population(n_stats):
+    u = SelectionVector.from_indices(3, [0, 1])
+    v = SelectionVector.from_indices(3, [2])
+    result = SegmentationResult(
+        groups=(
+            SegmentGroup(round=1, members=u, size=2, rate=1.0, cv=1.0, threshold_met=True),
+            SegmentGroup(round=2, members=v, size=1, rate=2.0, cv=1.0, threshold_met=True),
+        ),
+        cv_threshold=10.0,
+        leftover_policy="aggregate",
+    )
+    stats = CostStats(t=[1.0] * n_stats, w=[1.0] * n_stats)
+    with pytest.raises(ValueError, match=f"the groups index 3 consumers, the stats {n_stats}"):
+        stability_audit(result, stats, GAMMA)

@@ -259,3 +259,12 @@ def test_lambda_curve_requires_sorted_sizes():
     stats = CostStats(t=[1.0, 2.0], w=[1.0, 1.0])
     with pytest.raises(ValueError, match="ascending"):
         lambda_curve(stats, [2, 1], GAMMA)
+
+
+def test_equal_rates_shortcut_keeps_the_certificate():
+    stats = CostStats(t=[1.0000005, 1.0], w=[1.0, 1.0])  # rates within gamma of each other
+    res = solve_min_lambda(stats, 1, GAMMA)
+    assert res.iterations == 0
+    members = res.selection.indices
+    assert float((stats.t - res.lambda_star * stats.w)[members].sum()) <= 0.0
+    assert abs(res.lambda_star - brute_force_min_lambda(stats, 1).lambda_star) <= GAMMA

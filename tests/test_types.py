@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratecraft.segmentation import SegmentationResult, SegmentGroup
+from ratecraft.solver import SolveResult
 from ratecraft.types import (
     ConsumerSeries,
     CostStats,
@@ -265,3 +267,32 @@ def test_types_are_frozen():
     m = HourlyMatrix(np.ones((1, 24)), START)
     with pytest.raises(AttributeError):
         m.start_date = START
+
+
+def test_selection_vectors_compare_and_hash_by_members():
+    a = SelectionVector.from_indices(5, [3, 1])
+    assert a == SelectionVector(5, np.array([1, 3], dtype=np.int64))
+    assert hash(a) == hash(SelectionVector(5, [1, 3]))
+    assert a != SelectionVector(6, [1, 3])
+    assert a != SelectionVector(5, [1, 4])
+    assert a != SelectionVector(5, [1, 3, 4])
+    assert a != (5, [1, 3])
+    assert a in {SelectionVector(5, [1, 3])}
+    assert SelectionVector(5, [1, 4]) not in {a}
+
+
+def test_types_holding_a_selection_compare_and_hash():
+    def group(members):
+        u = SelectionVector(4, members)
+        return SegmentGroup(round=1, members=u, size=u.cardinality, rate=2.0, cv=1.0,
+                            threshold_met=True)
+
+    assert group([0, 2]) == group([2, 0]) and group([0, 2]) != group([0, 3])
+    assert len({group([0, 2]), group([2, 0]), group([1])}) == 2
+    result = SegmentationResult(groups=(group([0, 2]),), cv_threshold=5.0, leftover_policy="drop")
+    assert result == SegmentationResult((group([0, 2]),), 5.0, "drop")
+    assert hash(result) == hash(SegmentationResult((group([0, 2]),), 5.0, "drop"))
+    solved = SolveResult(2.0, SelectionVector(4, [1]), 3, (1.5, 2.0))
+    assert solved == SolveResult(2.0, SelectionVector(4, [1]), 3, (1.5, 2.0))
+    assert solved != SolveResult(2.0, SelectionVector(4, [2]), 3, (1.5, 2.0))
+    assert len({solved, SolveResult(2.0, SelectionVector(4, [1]), 3, (1.5, 2.0))}) == 1
