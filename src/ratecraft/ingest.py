@@ -11,7 +11,10 @@ Written lines end in CRLF; LF and CRLF line ends are both read, and one
 leading UTF-8 byte-order mark is skipped. The meter file is read in bulk (ids
 and dates in one pass over its lines, the values by ``np.loadtxt``); a file
 that pass rejects is parsed again row by row, only to name the row or
-consumer at fault.
+consumer at fault. The bulk reader's value block, grouped by consumer, is
+marked read-only and becomes the dataset's usage: each consumer's matrix is a
+view of its rows, and `Dataset.usage_stack` returns the block itself, so the
+usage is held once. `synth_population` builds its usage the same way.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
 ``#unit=usd_per_mwh``, then header ``date,market,h00,...,h23`` with market
@@ -178,6 +181,7 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
     if (np.diff(consumer) < 0).any():  # interleaved consumers: group rows, keeping file order
         order = np.argsort(consumer, kind="stable")
         consumer, ordinal, values = consumer[order], ordinal[order], values[order]
+    values.setflags(write=False)  # the consumers' matrices are views of this one block
     same_consumer = consumer[1:] == consumer[:-1]
     if (np.diff(ordinal)[same_consumer] != 1).any():
         raise ValueError("dates not consecutive")
@@ -369,21 +373,25 @@ def synth_population(spec: SynthSpec, split: float = DEFAULT_TRAIN_SPLIT) -> Dat
 
     start = dt.date(2021, 1, 4)  # a Monday, so weekday shapes line up simply
     n_peaky = int(round(spec.fraction_peaky * n))
-    shapes = {True: _archetype_shape(True), False: _archetype_shape(False)}
+    peaky = np.arange(n) < n_peaky
+    shape = np.where(peaky[:, None], _archetype_shape(True), _archetype_shape(False))
 
-    consumers = []
-    for i in range(n):
-        peaky = i < n_peaky
-        usage = spec.base_kwh_per_day * np.outer(multipliers[i], shapes[peaky])
-        usage = np.round(usage, 4)
-        label = "peak" if peaky else "night"
-        consumers.append(ConsumerSeries(f"{label}-{i:05d}", HourlyMatrix(usage, start)))
+    # One (n, days, 24) block, each consumer's matrix a view of it; the same
+    # products, in the same order, as base * outer(multipliers[i], shape[i]).
+    usage = multipliers[:, :, None] * shape[:, None, :]
+    np.multiply(spec.base_kwh_per_day, usage, out=usage)
+    np.round(usage, 4, out=usage)
+    usage.setflags(write=False)
+    consumers = tuple(
+        ConsumerSeries(f"{'peak' if p else 'night'}-{i:05d}", HourlyMatrix(usage[i], start))
+        for i, p in enumerate(peaky.tolist())
+    )
 
     da = np.round(2.0 + 4.0 * np.outer(amplitude, _price_peak()), 4)
     rt = np.round(np.maximum(da + rt_noise, 0.0), 4)
     prices = PriceSeries(HourlyMatrix(da, start), HourlyMatrix(rt, start))
 
-    return Dataset(tuple(consumers), prices, train_days=train, validate_days=days - train)
+    return Dataset(consumers, prices, train_days=train, validate_days=days - train)
 
 
 def align(consumers: list[ConsumerSeries], prices: PriceSeries, split: float) -> Dataset:

@@ -6,6 +6,15 @@ SelectionVector, which holds its members' indices. Instances are immutable
 after construction (arrays are marked read-only) and therefore safe to share
 across threads. Constructors validate their invariants and raise ValueError
 instead of silently repairing bad input.
+
+Arrays are shared, not copied, where nothing can write them: `HourlyMatrix`
+keeps a C-contiguous float64 array that is read-only along its whole `.base`
+chain, and copies any other input. The loader and `synth_population` fill
+one read-only (consumers, days, 24) block and give each consumer a view of
+its rows, so `Dataset.usage_stack` returns a view of that block when the
+consumers' rows lie back to back in it, in order. Any other population (days
+trimmed by `align`, consumers reordered, matrices built by hand) is stacked
+into a copy.
 """
 
 from __future__ import annotations
@@ -27,15 +36,54 @@ def _readonly_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """True if `arr` and every array it views are read-only, down to the memory's owner."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
+def _address(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+def _shared_block(rows: list[np.ndarray]) -> np.ndarray | None:
+    """`rows` as one (len(rows), days, 24) view, if they lie back to back in one owner, in order.
+
+    The rows are C-contiguous `HourlyMatrix` values of one shape (`Dataset` checks
+    it); None if they are not so laid out.
+    """
+    owner = rows[0].base
+    if not (isinstance(owner, np.ndarray) and owner.flags.c_contiguous):
+        return None
+    first, size = _address(rows[0]), rows[0].nbytes
+    for k, row in enumerate(rows):
+        if row.base is not owner or _address(row) != first + k * size:
+            return None
+    return np.ndarray((len(rows), *rows[0].shape), np.float64, buffer=owner,
+                      offset=first - _address(owner))
+
+
 @dataclass(frozen=True)
 class HourlyMatrix:
-    """Nonnegative hourly values, one row per consecutive day."""
+    """Nonnegative hourly values, one row per consecutive day.
+
+    `values` is the caller's array itself when it is a C-contiguous float64
+    ndarray that is read-only, and so is every array in its `.base` chain;
+    otherwise it is a read-only copy, so a later write to the caller's array
+    does not show here. Either way its layout is the one `np.array` gives.
+    """
 
     values: np.ndarray
     start_date: dt.date
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
+        arr = self.values
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64
+                and arr.flags.c_contiguous and _frozen(arr)):
+            arr = np.array(arr, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != HOURS:
             raise ValueError(f"expected a (days, {HOURS}) matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -172,8 +220,14 @@ class Dataset:
 
     @cached_property
     def usage_stack(self) -> np.ndarray:
-        """All usage as one read-only (n_consumers, n_days, 24) array."""
-        stack = np.stack([c.usage.values for c in self.consumers])
+        """All usage as one read-only (n_consumers, n_days, 24) array.
+
+        A view of the consumers' shared block where they tile it, else a stacked copy.
+        """
+        rows = [c.usage.values for c in self.consumers]
+        stack = _shared_block(rows)
+        if stack is None:
+            stack = np.stack(rows)
         stack.setflags(write=False)
         return stack
 

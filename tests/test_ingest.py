@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ratecraft.costs import consumer_stats
@@ -12,6 +12,7 @@ from ratecraft.ingest import (
     METER_HEADER,
     PRICE_HEADER,
     SynthSpec,
+    _archetype_shape,
     _load_meter_bulk,
     _load_meter_rows,
     align,
@@ -22,7 +23,7 @@ from ratecraft.ingest import (
     write_meter_csv,
     write_price_csv,
 )
-from ratecraft.types import ConsumerSeries, HourlyMatrix, PriceSeries
+from ratecraft.types import ConsumerSeries, Dataset, HourlyMatrix, PriceSeries
 
 START = dt.date(2021, 1, 4)
 
@@ -310,6 +311,116 @@ def test_synth_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back.usage_stack, ds.usage_stack)
     assert np.array_equal(back.prices.day_ahead.values, ds.prices.day_ahead.values)
     assert np.array_equal(back.prices.real_time.values, ds.prices.real_time.values)
+
+
+def _assert_usage_stack(ds, shared):
+    """usage_stack equals np.stack of the consumers bit for bit, and is or is not their memory."""
+    stack = ds.usage_stack
+    assert stack.tobytes() == np.stack([c.usage.values for c in ds.consumers]).tobytes()
+    assert not stack.flags.writeable
+    assert [np.shares_memory(stack[k], c.usage.values) for k, c in enumerate(ds.consumers)] \
+        == [shared] * ds.n_consumers
+
+
+def test_synth_usage_is_one_shared_block():
+    ds = synth_population(SynthSpec(n_consumers=9, n_days=6, seed=2))
+    _assert_usage_stack(ds, shared=True)
+    assert all(c.usage.values.base is ds.usage_stack.base for c in ds.consumers)
+
+
+def _written(tmp_path, ds):
+    write_meter_csv(list(ds.consumers), tmp_path / "meter.csv")
+    write_price_csv(ds.prices, tmp_path / "prices.csv")
+    return tmp_path / "meter.csv", load_price_csv(tmp_path / "prices.csv")
+
+
+def test_bulk_loaded_usage_is_one_shared_block(tmp_path):
+    ds = synth_population(SynthSpec(n_consumers=9, n_days=6, seed=2))
+    meter, prices = _written(tmp_path, ds)
+    back = align(load_meter_csv(meter), prices, split=0.75)
+    _assert_usage_stack(back, shared=True)
+    assert back.usage_stack.tobytes() == ds.usage_stack.tobytes()
+
+    half = Dataset(back.consumers[:4], back.prices, back.train_days, back.validate_days)
+    _assert_usage_stack(half, shared=True)  # a leading run of the block is a view too
+    tail = Dataset(back.consumers[::-1], back.prices, back.train_days, back.validate_days)
+    _assert_usage_stack(tail, shared=False)
+
+
+def test_interleaved_file_is_grouped_into_one_shared_block(tmp_path):
+    rows = [f"c{i},{(START + dt.timedelta(days=d)).isoformat()}," + _day_cells(1 + d + i / 10)
+            for d in range(4) for i in range(3)]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows))
+    consumers = load_meter_csv(path)
+    prices = PriceSeries(_series(START, 4, 3.0), _series(START, 4, 3.0))
+    ds = align(consumers, prices, split=0.5)
+    _assert_usage_stack(ds, shared=True)
+    assert ds.usage_stack[:, :, 0].tolist() == [[1 + d + i / 10 for d in range(4)] for i in range(3)]
+
+
+def test_align_that_trims_days_stacks_a_copy(tmp_path):
+    ds = synth_population(SynthSpec(n_consumers=5, n_days=8, seed=4))
+    meter, prices = _written(tmp_path, ds)
+    short = PriceSeries(HourlyMatrix(prices.day_ahead.values[1:7], START + dt.timedelta(days=1)),
+                        HourlyMatrix(prices.real_time.values[1:7], START + dt.timedelta(days=1)))
+    trimmed = align(load_meter_csv(meter), short, split=0.5)
+    assert trimmed.n_days == 6
+    _assert_usage_stack(trimmed, shared=False)
+    assert trimmed.usage_stack.tobytes() == np.ascontiguousarray(ds.usage_stack[:, 1:7]).tobytes()
+
+
+@pytest.mark.parametrize("cell, message", [("nan", "non-finite reading at row 4"),
+                                           ("-0.5000", "negative reading at row 4")])
+def test_bulk_reader_refuses_bad_readings_and_the_row_parser_names_them(tmp_path, cell, message):
+    rows = ["a,2021-01-04," + _day_cells(1.0), "b,2021-01-04," + _day_cells(1.0),
+            "b,2021-01-05," + ",".join([cell if h == 9 else "1.0000" for h in range(24)])]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows))
+    with pytest.raises(ValueError, match="values must be"):
+        _load_meter_bulk(str(path))
+    with pytest.raises(ValueError, match=f"{path}: {message}"):
+        load_meter_csv(path)
+
+
+def _synth_usage_by_loop(spec):
+    """synth_population's usage as it was built before: one consumer at a time."""
+    rng = np.random.default_rng(spec.seed)
+    n, days = spec.n_consumers, spec.n_days
+    if spec.noise_cv > 0:
+        log_sd = float(np.sqrt(np.log1p(spec.noise_cv**2)))
+        multipliers = rng.lognormal(mean=-0.5 * log_sd**2, sigma=log_sd, size=(n, days))
+    else:
+        multipliers = np.ones((n, days))
+    n_peaky = int(round(spec.fraction_peaky * n))
+    shapes = {True: _archetype_shape(True), False: _archetype_shape(False)}
+    out = []
+    for i in range(n):
+        peaky = i < n_peaky
+        usage = np.round(spec.base_kwh_per_day * np.outer(multipliers[i], shapes[peaky]), 4)
+        out.append((f"{'peak' if peaky else 'night'}-{i:05d}", usage.tobytes()))
+    return out
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 40),
+    days=st.integers(2, 12),
+    fraction_peaky=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    noise_cv=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    base=st.one_of(st.just(10.0), st.floats(0.01, 1e4)),
+    seed=st.integers(0, 2**32),
+)
+@example(n=1, days=2, fraction_peaky=0.0, noise_cv=0.0, base=10.0, seed=0)
+@example(n=1, days=3, fraction_peaky=1.0, noise_cv=0.3, base=10.0, seed=1)
+@example(n=7, days=5, fraction_peaky=0.5, noise_cv=0.0, base=3.5, seed=2)
+@example(n=6, days=4, fraction_peaky=0.5, noise_cv=0.3, base=10.0, seed=7)
+def test_synth_usage_equals_the_per_consumer_loop(n, days, fraction_peaky, noise_cv, base, seed):
+    spec = SynthSpec(n, days, fraction_peaky=fraction_peaky, base_kwh_per_day=base,
+                     noise_cv=noise_cv, seed=seed)
+    ds = synth_population(spec)
+    assert [(c.consumer_id, c.usage.values.tobytes()) for c in ds.consumers] \
+        == _synth_usage_by_loop(spec)
 
 
 def test_synth_spec_validation():

@@ -58,6 +58,69 @@ def test_hourly_matrix_values_read_only():
         m.values[0, 0] = 2.0
 
 
+def _frozen_block(shape, value=1.0):
+    block = np.full(shape, value)
+    block.setflags(write=False)
+    return block
+
+
+def test_hourly_matrix_copies_a_writable_input():
+    arr = np.ones((2, 24))
+    m = HourlyMatrix(arr, START)
+    arr[0, 0] = 5.0
+    assert m.values[0, 0] == 1.0
+    assert not np.shares_memory(m.values, arr)
+    assert arr.flags.writeable and not m.values.flags.writeable
+
+
+def test_hourly_matrix_copies_a_read_only_view_of_a_writable_base():
+    base = np.ones((3, 24))
+    view = base[1:]
+    view.setflags(write=False)
+    m = HourlyMatrix(view, START)
+    base[1, 0] = 7.0
+    assert m.values[0, 0] == 1.0
+    assert not np.shares_memory(m.values, base)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _frozen_block((2, 24)).astype(np.float32),  # another dtype
+    lambda: np.frombuffer(bytearray(8 * 48), dtype=np.float64).reshape(2, 24),  # writable buffer
+    lambda: _frozen_block((2, 24)).view(np.matrix),  # an ndarray subclass
+    lambda: _frozen_block((24, 2)).T,  # not C-contiguous
+])
+def test_hourly_matrix_copies_other_read_only_inputs(make):
+    arr = make()
+    arr.setflags(write=False)
+    m = HourlyMatrix(arr, START)
+    assert type(m.values) is np.ndarray and m.values.dtype == np.float64
+    assert m.values.strides == np.array(arr, dtype=np.float64).strides
+    assert not np.shares_memory(m.values, arr)
+    assert np.array_equal(m.values, arr)
+
+
+def test_hourly_matrix_keeps_a_read_only_chain():
+    block = _frozen_block((3, 24))
+    whole = HourlyMatrix(block, START)
+    assert whole.values is block
+    rows = block[1:]
+    assert HourlyMatrix(rows, START).values is rows
+    assert whole.slice_days(1, 3).values.base is block
+    with pytest.raises(ValueError):
+        whole.values[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("cell, message", [(np.nan, "finite"), (np.inf, "finite"),
+                                           (-0.5, "nonnegative")])
+def test_hourly_matrix_validates_a_kept_array(cell, message):
+    block = np.ones((4, 24))
+    block[3, 5] = cell
+    block.setflags(write=False)
+    HourlyMatrix(block[:3], START)
+    with pytest.raises(ValueError, match=message):
+        HourlyMatrix(block[2:], START)
+
+
 def test_hourly_matrix_slice_days():
     m = HourlyMatrix(np.arange(72, dtype=float).reshape(3, 24), START)
     s = m.slice_days(1, 3)
@@ -134,6 +197,55 @@ def test_dataset_usage_stack():
     assert ds.usage_stack.shape == (1, 3, 24)
     with pytest.raises(ValueError):
         ds.usage_stack[0, 0, 0] = 5.0
+
+
+def _dataset_of(rows):
+    """A Dataset whose consumers hold `rows` as given, with flat prices."""
+    days = rows[0].shape[0]
+    prices = PriceSeries(HourlyMatrix(np.full((days, 24), 3.0), START),
+                         HourlyMatrix(np.full((days, 24), 3.0), START))
+    consumers = [ConsumerSeries(f"c{k}", HourlyMatrix(r, START)) for k, r in enumerate(rows)]
+    return Dataset(consumers, prices, days, 0)
+
+
+def _check_stack(ds, shared):
+    stack = ds.usage_stack
+    reference = np.stack([c.usage.values for c in ds.consumers])
+    assert stack.dtype == reference.dtype and stack.shape == reference.shape
+    assert stack.tobytes() == reference.tobytes()
+    assert not stack.flags.writeable
+    for k, c in enumerate(ds.consumers):
+        assert np.shares_memory(stack[k], c.usage.values) == shared
+    assert ds.usage_stack is stack
+
+
+def test_usage_stack_views_consumer_rows_that_tile_one_block():
+    block = np.arange(5 * 3 * 24, dtype=np.float64).reshape(5, 3, 24).copy()
+    block.setflags(write=False)
+    rows = list(block)
+    _check_stack(_dataset_of(rows), shared=True)
+    assert _dataset_of(rows).usage_stack.base is block
+    _check_stack(_dataset_of(rows[:3]), shared=True)  # a leading run
+    _check_stack(_dataset_of(rows[1:4]), shared=True)  # a run inside the block
+    _check_stack(_dataset_of(rows[4:]), shared=True)
+
+
+@pytest.mark.parametrize("pick", [
+    lambda rows: rows[::-1],  # out of order
+    lambda rows: rows[::2],  # gaps between rows
+    lambda rows: [rows[0], rows[0][:]],  # the same rows twice (ids differ)
+    lambda rows: [r[:2] for r in rows],  # days cut off each consumer
+    lambda rows: [r.copy() for r in rows],  # each consumer its own array
+])
+def test_usage_stack_stacks_a_copy_otherwise(pick):
+    block = np.arange(4 * 3 * 24, dtype=np.float64).reshape(4, 3, 24).copy()
+    block.setflags(write=False)
+    _check_stack(_dataset_of(pick(list(block))), shared=False)
+
+
+def test_usage_stack_of_a_hand_built_dataset_is_a_copy():
+    ds = _dataset_of([np.ones((3, 24)), np.full((3, 24), 2.0)])
+    _check_stack(ds, shared=False)
 
 
 def test_selection_vector_roundtrip():
