@@ -30,6 +30,7 @@ from .costs import consumer_stats
 from .forecast import MIN_TRAIN_DAYS, cv_curve
 from .ingest import (
     DEFAULT_TRAIN_SPLIT,
+    EmptyTrainWindow,
     SynthSpec,
     align,
     atomic_write,
@@ -417,7 +418,7 @@ def _run_simulate(params):
         if missing:
             raise ValueError(f"{params['selection']}: selection ids not in dataset: "
                              f"{', '.join(missing[:5])}")
-        selection = SelectionVector.from_indices(dataset.n_consumers, [index[c] for c in ids])
+        selection = SelectionVector(dataset.n_consumers, [index[c] for c in ids])
     limit = params["days_limit"]
     if limit is not None and limit > dataset.validate_days:
         raise _UsageError(f"--days-limit {limit} exceeds the {dataset.validate_days} validate days")
@@ -466,7 +467,7 @@ def main(argv=None) -> int:
         execute(params)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _UsageError) else 1
+        return 2 if isinstance(exc, (_UsageError, EmptyTrainWindow)) else 1
     return 0
 
 

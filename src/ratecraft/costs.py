@@ -32,14 +32,13 @@ _STANDARD_NORMAL = NormalDist()
 
 @dataclass(frozen=True)
 class PurchasePlan:
-    """Day-ahead purchase: forecast plus a (possibly negative) adjustment."""
+    """Day-ahead purchase: max(forecast + adjustment, 0), where the adjustment may be negative."""
 
-    forecast: np.ndarray
     adjustment: np.ndarray
     purchase: np.ndarray
 
     def __post_init__(self):
-        for name in ("forecast", "adjustment", "purchase"):
+        for name in ("adjustment", "purchase"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -177,7 +176,7 @@ def newsvendor_purchase(
         raise ValueError("forecast must be finite in every hour")
     delta = _optimal_adjustment(error_model.sigma, p, q_mean)
     purchase = np.maximum(forecast + delta, 0.0)
-    return PurchasePlan(forecast=forecast, adjustment=delta, purchase=purchase)
+    return PurchasePlan(adjustment=delta, purchase=purchase)
 
 
 def expected_penalty(

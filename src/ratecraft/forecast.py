@@ -111,10 +111,8 @@ def _require_usage(dataset: Dataset, u: SelectionVector, rows: np.ndarray, windo
         )
 
 
-def fit_profile(
-    profile: np.ndarray, train_days: int, start_weekday: int, order: int
-) -> GroupForecaster:
-    """Fit the group forecaster on the first train_days rows of a group profile."""
+def fit_profile(profile: np.ndarray, train_days: int, start_weekday: int) -> GroupForecaster:
+    """Fit the AR(DEFAULT_AR_ORDER) group forecaster on the first train_days rows of a profile."""
     if train_days < MIN_TRAIN_DAYS:
         raise ValueError(f"training window too short: need at least {MIN_TRAIN_DAYS} days")
     train = profile[:train_days]
@@ -122,7 +120,7 @@ def fit_profile(
     active = totals > 0
     if not np.any(active):
         raise ValueError("group has no usage in the training window")
-    intercept, coeffs = fit_ar(totals, order)
+    intercept, coeffs = fit_ar(totals, DEFAULT_AR_ORDER)
 
     normalized = train[active] / totals[active, None]
     overall = normalized.mean(axis=0)
@@ -136,7 +134,7 @@ def fit_profile(
             shapes[dow] = s / s.sum()
         else:
             shapes[dow] = overall
-    return GroupForecaster(order=order, intercept=intercept, coeffs=coeffs, shapes=shapes)
+    return GroupForecaster(DEFAULT_AR_ORDER, intercept, coeffs, shapes)
 
 
 def predict_day(
@@ -204,7 +202,7 @@ def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
         raise ValueError("validate window is empty")
     profile = group_profile(dataset, u)
     _require_usage(dataset, u, profile[dataset.train_days :], "validate window")
-    model = fit_profile(profile, dataset.train_days, dataset.start_weekday, DEFAULT_AR_ORDER)
+    model = fit_profile(profile, dataset.train_days, dataset.start_weekday)
     preds = predict_rows(
         model, profile.sum(axis=1), dataset.train_days, dataset.n_days, dataset.start_weekday
     )
@@ -256,7 +254,7 @@ def cv_curve(
         for trial in range(n_random_trials):
             rng = np.random.default_rng([seed, s_idx, trial])
             members = rng.choice(n, size=m, replace=False)
-            selection = SelectionVector.from_indices(n, members)
+            selection = SelectionVector(n, members)
             trial_cvs[trial] = backtest_cv(dataset, selection)
         mean_cv = float(trial_cvs.mean())
         spread = float(trial_cvs.std(ddof=1)) if n_random_trials > 1 else 0.0

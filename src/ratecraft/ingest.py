@@ -7,14 +7,15 @@ dates ISO-8601 and consecutive per consumer, values in kWh written with
 exactly 4 fractional digits. A consumer id may not hold a comma, a double
 quote or a line break, so that it is always one plain CSV field.
 
-Written lines end in CRLF; LF and CRLF line ends are both read, and one
-leading UTF-8 byte-order mark is skipped. The meter file is read in bulk (ids
-and dates in one pass over its lines, the values by ``np.loadtxt``); a file
-that pass rejects is parsed again row by row, only to name the row or
-consumer at fault. The bulk reader's value block, grouped by consumer, is
-marked read-only and becomes the dataset's usage: each consumer's matrix is a
-view of its rows, and `Dataset.usage_stack` returns the block itself, so the
-usage is held once. `synth_population` builds its usage the same way.
+Written header and data lines end in CRLF, the price file's ``#unit=`` line
+in LF. LF and CRLF line ends are both read, and one leading UTF-8 byte-order
+mark is skipped. The meter file is read in bulk (ids and dates in one pass
+over its lines, the values by ``np.loadtxt``); a file that pass rejects is
+parsed again row by row, only to name the row or consumer at fault. The bulk
+reader's value block, grouped by consumer, is marked read-only and becomes
+the dataset's usage: each consumer's matrix is a view of its rows, and
+`Dataset.usage_stack` returns the block itself, so the usage is held once.
+`synth_population` builds its usage the same way.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
 ``#unit=usd_per_mwh``, then header ``date,market,h00,...,h23`` with market
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -68,6 +70,9 @@ class SynthSpec:
             raise ValueError("n_days must be >= 2")
         if not (0.0 <= self.fraction_peaky <= 1.0):
             raise ValueError("fraction_peaky must be in [0, 1]")
+        for name in ("base_kwh_per_day", "noise_cv"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.base_kwh_per_day <= 0:
             raise ValueError("base_kwh_per_day must be > 0")
         if self.noise_cv < 0:
@@ -336,14 +341,21 @@ def _price_peak() -> np.ndarray:
     return np.exp(-((hours - 18.0) ** 2) / 8.0)
 
 
+class EmptyTrainWindow(ValueError):
+    """A split that rounds to no training day of the days it splits."""
+
+
 def _train_days(split: float, total_days: int) -> int:
     """round(split * total_days), halves up: the leading days that form the training window."""
     if not (0.0 < split <= 1.0):
         raise ValueError("split must be in (0, 1]")
-    return int(split * total_days + 0.5)
+    train = int(split * total_days + 0.5)
+    if train < 1:
+        raise EmptyTrainWindow(f"split {split} leaves no training day in {total_days} days")
+    return train
 
 
-def synth_population(spec: SynthSpec, split: float = DEFAULT_TRAIN_SPLIT) -> Dataset:
+def synth_population(spec: SynthSpec) -> Dataset:
     """Generate a deterministic archetype population with aligned prices.
 
     The first round(fraction_peaky * n) consumers use an evening load shape
@@ -357,11 +369,11 @@ def synth_population(spec: SynthSpec, split: float = DEFAULT_TRAIN_SPLIT) -> Dat
 
     Draws from the seeded generator happen in a fixed order (day multipliers,
     price amplitudes, real-time noise), so equal specs yield byte-identical
-    datasets.
+    datasets. Days split by DEFAULT_TRAIN_SPLIT; ``align`` re-splits them without copying.
     """
     rng = np.random.default_rng(spec.seed)
     n, days = spec.n_consumers, spec.n_days
-    train = _train_days(split, days)
+    train = _train_days(DEFAULT_TRAIN_SPLIT, days)
 
     if spec.noise_cv > 0:
         log_sd = float(np.sqrt(np.log1p(spec.noise_cv**2)))

@@ -25,11 +25,10 @@ LeftoverPolicy = str  # "aggregate" or "drop"
 
 @dataclass(frozen=True)
 class SegmentGroup:
-    """One recruited rate group, indexed over the original population."""
+    """One recruited rate group, indexed over the original population; `size` counts members."""
 
     round: int
     members: SelectionVector
-    size: int
     rate: float  # cents/kWh, historical per-unit cost of the group
     cv: float  # percent, backtested forecast error
     threshold_met: bool
@@ -37,14 +36,14 @@ class SegmentGroup:
     def __post_init__(self):
         if self.round < 1:
             raise ValueError("round numbering starts at 1")
-        if self.size < 1:
-            raise ValueError("group size must be >= 1")
-        if self.members.cardinality != self.size:
-            raise ValueError("members cardinality does not match size")
         if self.rate <= 0:
             raise ValueError("group rate must be positive")
         if self.cv < 0:
             raise ValueError("cv must be nonnegative")
+
+    @property
+    def size(self) -> int:
+        return self.members.cardinality
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class SegmentationResult:
         object.__setattr__(self, "groups", tuple(self.groups))
         if self.leftover_policy not in ("aggregate", "drop"):
             raise ValueError(f"unknown leftover policy {self.leftover_policy!r}")
-        if self.cv_threshold <= 0:
+        if not self.cv_threshold > 0:  # also refuses NaN
             raise ValueError("cv_threshold must be positive")
         if not self.groups:
             return
@@ -137,7 +136,7 @@ def _recruit(
         members = pool[solve_min_lambda(sub, m, gamma).selection.indices]
         if not has_validate_usage[members].any():
             return None
-        selection = SelectionVector.from_indices(dataset.n_consumers, members)
+        selection = SelectionVector(dataset.n_consumers, members)
         cv_m = backtest_cv(dataset, selection)
         return (cv_m, selection) if cv_m <= cv_threshold else None
 
@@ -176,7 +175,7 @@ def segment_population(
     where no size qualifies. Rates are the groups' historical per-unit costs
     over the training window.
     """
-    if cv_threshold <= 0:
+    if not cv_threshold > 0:  # also refuses NaN
         raise ValueError("cv_threshold must be positive")
     if leftover_policy not in ("aggregate", "drop"):
         raise ValueError(f"unknown leftover policy {leftover_policy!r}")
@@ -203,7 +202,6 @@ def segment_population(
             SegmentGroup(
                 round=len(groups) + 1,
                 members=selection,
-                size=selection.cardinality,
                 rate=group_lambda(stats, selection),
                 cv=cv_found,
                 threshold_met=True,
@@ -216,12 +214,11 @@ def segment_population(
             raise ValueError(
                 f"the leftover group of {pool.size} consumer(s) has no usage in the validate window"
             )
-        leftover = SelectionVector.from_indices(dataset.n_consumers, pool)
+        leftover = SelectionVector(dataset.n_consumers, pool)
         groups.append(
             SegmentGroup(
                 round=len(groups) + 1,
                 members=leftover,
-                size=leftover.cardinality,
                 rate=group_lambda(stats, leftover),
                 cv=backtest_cv(dataset, leftover),
                 threshold_met=False,
@@ -242,9 +239,11 @@ def stability_audit(
     (a) the earlier rate is no higher than the later rate, within 2*gamma;
     (b) no member of group i+1 would lower group i's rate by joining it,
         within 2*gamma.
-    Report-only: violations are returned with magnitudes, never raised. Stats
-    over another population than the groups' are a ValueError.
+    Report-only: violations are returned with magnitudes, never raised. A gamma
+    not > 0, or stats over another population than the groups', is a ValueError.
     """
+    if not gamma > 0:  # also refuses NaN
+        raise ValueError("gamma must be > 0")
     if result.groups and result.groups[0].members.n != stats.n:
         raise ValueError(f"the groups index {result.groups[0].members.n} consumers, "
                          f"the stats {stats.n}")

@@ -24,14 +24,7 @@ from .costs import (
     realized_cost,
     realized_rate,
 )
-from .forecast import (
-    DEFAULT_AR_ORDER,
-    _require_usage,
-    fit_profile,
-    group_profile,
-    predict_rows,
-    residual_sigma,
-)
+from .forecast import _require_usage, fit_profile, group_profile, predict_rows, residual_sigma
 from .types import Dataset, SelectionVector
 
 
@@ -78,7 +71,7 @@ def replay_validate(
     _require_usage(
         dataset, selection, profile[train_days : train_days + total_days], "replayed days"
     )
-    model = fit_profile(profile, train_days, start_weekday, DEFAULT_AR_ORDER)
+    model = fit_profile(profile, train_days, start_weekday)
     error_model = residual_sigma(profile, model, model.order, train_days, start_weekday)
     q_mean = mean_real_time_price(dataset)
     totals = profile.sum(axis=1)

@@ -60,7 +60,7 @@ def feasibility_test(stats: CostStats, lam: float, m: int) -> Optional[Selection
     chosen = np.concatenate((below, ties))
     chosen = chosen[np.argsort(v[chosen], kind="stable")]
     if float(v[chosen].sum()) <= 0.0:
-        return SelectionVector.from_indices(stats.n, chosen)
+        return SelectionVector(stats.n, chosen)
     return None
 
 
@@ -73,7 +73,7 @@ def solve_min_lambda(stats: CostStats, m: int, gamma: float = DEFAULT_GAMMA) -> 
     ceil(log2(bracket / gamma)) + 1.
     """
     _check_m(stats, m)
-    if gamma <= 0:
+    if not gamma > 0:  # also refuses NaN
         raise ValueError("gamma must be > 0")
     ratios = stats.ratios
     lo = float(ratios.min())
@@ -81,7 +81,7 @@ def solve_min_lambda(stats: CostStats, m: int, gamma: float = DEFAULT_GAMMA) -> 
     if hi - lo <= gamma:
         # All individual rates coincide within tolerance: any M consumers do, and the largest
         # rate, which bounds every group's rate, keeps the certificate.
-        selection = SelectionVector.from_indices(stats.n, range(m))
+        selection = SelectionVector(stats.n, range(m))
         return SolveResult(lambda_star=hi, selection=selection, iterations=0, bracket=(lo, hi))
 
     best = feasibility_test(stats, hi, m)
@@ -124,7 +124,7 @@ def brute_force_min_lambda(stats: CostStats, m: int) -> SolveResult:
         if ratio < best_ratio:
             best_ratio = ratio
             best_subset = subset
-    selection = SelectionVector.from_indices(stats.n, best_subset)
+    selection = SelectionVector(stats.n, best_subset)
     return SolveResult(
         lambda_star=best_ratio,
         selection=selection,

@@ -23,7 +23,6 @@ import datetime as dt
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -266,10 +265,6 @@ class SelectionVector:
 
     def __hash__(self):
         return hash((self.n, self.indices.tobytes()))
-
-    @classmethod
-    def from_indices(cls, n: int, indices: Iterable[int]) -> "SelectionVector":
-        return cls(n, indices)
 
     @property
     def cardinality(self) -> int:

@@ -218,13 +218,13 @@ def test_criterion_10_stability():
 
     # deliberately corrupted assignment: a cheap consumer parked in round 2
     stats = CostStats(t=[10.0, 10.0, 1.0], w=[1.0, 1.0, 1.0])
-    g1_members = SelectionVector.from_indices(3, [0, 1])
-    g2_members = SelectionVector.from_indices(3, [2])
+    g1_members = SelectionVector(3, [0, 1])
+    g2_members = SelectionVector(3, [2])
     corrupted = SegmentationResult(
         groups=(
-            SegmentGroup(round=1, members=g1_members, size=2,
+            SegmentGroup(round=1, members=g1_members,
                          rate=group_lambda(stats, g1_members), cv=5.0, threshold_met=True),
-            SegmentGroup(round=2, members=g2_members, size=1,
+            SegmentGroup(round=2, members=g2_members,
                          rate=group_lambda(stats, g2_members), cv=5.0, threshold_met=True),
         ),
         cv_threshold=10.0,

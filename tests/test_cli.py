@@ -16,6 +16,7 @@ from ratecraft.ingest import (
     write_price_csv,
 )
 from ratecraft.solver import brute_force_min_lambda
+from ratecraft.types import HourlyMatrix, PriceSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 METER = str(FIXTURES / "meter_n12.csv")
@@ -147,6 +148,8 @@ def test_split_one_leaves_no_validate_window_and_is_usage_error(tmp_path, capsys
 
 @pytest.mark.parametrize("command, days, split, message", [
     ("segment", None, "0.99", "validate window is empty"),
+    ("solve", None, "0.01", "split 0.01 leaves no training day in 24 days"),
+    ("segment", None, "0.01", "split 0.01 leaves no training day in 24 days"),
     ("curves", 12, None, "training window too short: need at least 14 days"),
     ("segment", 12, None, "training window too short: need at least 14 days"),
     ("simulate", 12, None, "training window too short: need at least 14 days"),
@@ -161,8 +164,24 @@ def test_unusable_windows_after_loading_are_usage_errors(
     args = [command, "--meter", meter, "--prices", prices, "--out-dir", str(tmp_path / "out")]
     if split is not None:
         args += ["--split", split]
+    if command == "solve":
+        args += ["--m", "2"]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_disjoint_meter_and_price_dates_stay_a_runtime_error(tmp_path, capsys):
+    # the fixture's prices a year later; the split would leave no training day either
+    prices = load_price_csv(PRICES)
+    later = prices.start_date.replace(year=prices.start_date.year + 1)
+    shifted = PriceSeries(HourlyMatrix(prices.day_ahead.values, later),
+                          HourlyMatrix(prices.real_time.values, later))
+    write_price_csv(shifted, tmp_path / "prices.csv")
+    rc = main(["solve", "--meter", METER, "--prices", str(tmp_path / "prices.csv"), "--m", "2",
+               "--split", "0.01", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "no overlapping dates" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -412,10 +431,15 @@ _SPLIT_ONE = "error: split must be < 1: the validate window would be empty\n"
     (["synth", "--noise-cv", "-1"], None, "error: noise_cv must be >= 0\n"),
     (["synth", "--n", "0"], None, "error: n_consumers must be >= 1\n"),
     (["synth", "--seed", "-1"], None, "error: seed must be >= 0\n"),
+    (["synth", "--base-kwh", "nan"], None, "error: base_kwh_per_day must be finite\n"),
+    (["synth", "--base-kwh", "inf"], None, "error: base_kwh_per_day must be finite\n"),
+    (["synth", "--noise-cv", "nan"], None, "error: noise_cv must be finite\n"),
+    (["synth", "--noise-cv", "inf"], None, "error: noise_cv must be finite\n"),
 ], ids=["sizes-letters", "sizes-zero", "sizes-empty", "grid-letter", "grid-zero",
         "config-object", "config-fraction", "config-letter", "config-zero",
         "split-curves", "split-segment", "split-simulate", "sizes-before-split",
-        "synth-noise", "synth-n", "synth-seed"])
+        "synth-noise", "synth-n", "synth-seed", "synth-base-nan", "synth-base-inf",
+        "synth-noise-nan", "synth-noise-inf"])
 def test_parameter_errors_exit_2_with_exact_message(tmp_path, capsys, argv, size_grid, err):
     cfg = tmp_path / "config.json"
     if size_grid is not None:

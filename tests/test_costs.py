@@ -116,20 +116,20 @@ def test_individual_lambda_flat_price_identity():
 
 def test_group_lambda_singleton_reduction():
     stats = CostStats(t=[30.0, 8.0], w=[10.0, 2.0])
-    sel = SelectionVector.from_indices(2, [1])
+    sel = SelectionVector(2, [1])
     assert group_lambda(stats, sel) == stats.ratios[1]
 
 
 def test_group_lambda_weighted_mean():
     # rates 2 (w=1) and 4 (w=3) blend to 3.5
     stats = CostStats(t=[2.0, 12.0], w=[1.0, 3.0])
-    sel = SelectionVector.from_indices(2, [0, 1])
+    sel = SelectionVector(2, [0, 1])
     assert group_lambda(stats, sel) == pytest.approx(3.5, rel=1e-12)
 
 
 def test_group_lambda_whole_population_oracle(synth_small):
     stats = consumer_stats(synth_small)
-    sel = SelectionVector.from_indices(stats.n, range(stats.n))
+    sel = SelectionVector(stats.n, range(stats.n))
     prices = synth_small.prices.day_ahead.values[: synth_small.train_days]
     total_cost = 0.0
     total_kwh = 0.0
@@ -152,7 +152,7 @@ def test_group_lambda_within_member_bounds(t, w, data):
     members = data.draw(
         st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True)
     )
-    sel = SelectionVector.from_indices(n, members)
+    sel = SelectionVector(n, members)
     lam = group_lambda(stats, sel)
     member_rates = stats.ratios[sel.bits]
     assert member_rates.min() - 1e-9 <= lam <= member_rates.max() + 1e-9

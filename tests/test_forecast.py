@@ -23,12 +23,12 @@ from ratecraft.types import SelectionVector
 
 
 def _everyone(ds):
-    return SelectionVector.from_indices(ds.n_consumers, range(ds.n_consumers))
+    return SelectionVector(ds.n_consumers, range(ds.n_consumers))
 
 
-def _fit(ds, u, order=DEFAULT_AR_ORDER):
+def _fit(ds, u):
     """The group forecaster for selection u, fitted on ds's training window."""
-    return fit_profile(group_profile(ds, u), ds.train_days, ds.start_weekday, order)
+    return fit_profile(group_profile(ds, u), ds.train_days, ds.start_weekday)
 
 
 # -- fit_ar ---------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_fit_skips_zero_usage_days():
 
 
 def test_fit_size_independence(synth_medium):
-    one = SelectionVector.from_indices(synth_medium.n_consumers, [0])
+    one = SelectionVector(synth_medium.n_consumers, [0])
     many = _everyone(synth_medium)
     assert _fit(synth_medium, one).shapes.shape == (7, 24)
     assert _fit(synth_medium, many).shapes.shape == (7, 24)
@@ -151,16 +151,16 @@ def test_ar_lag_ordering():
 def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floor_shift):
     # the block kernel must reproduce the single-day reference, looped day by day, exactly
     ds = synth_medium
-    sel = SelectionVector.from_indices(ds.n_consumers, sorted(members))
-    fitted = _fit(ds, sel, order=order)
+    sel = SelectionVector(ds.n_consumers, sorted(members))
     profile = group_profile(ds, sel)
     totals = profile.sum(axis=1)
+    intercept, coeffs = fit_ar(totals[: ds.train_days], order)
     # lowering the intercept makes some predicted totals hit the floor at 0
     model = GroupForecaster(
         order=order,
-        intercept=fitted.intercept + floor_shift * float(totals.mean()),
-        coeffs=fitted.coeffs,
-        shapes=fitted.shapes,
+        intercept=intercept + floor_shift * float(totals.mean()),
+        coeffs=coeffs,
+        shapes=_fit(ds, sel).shapes,
     )
     for start, stop in ((order, ds.train_days), (ds.train_days, ds.n_days)):
         block = predict_rows(model, totals, start, stop, ds.start_weekday)
@@ -231,16 +231,16 @@ def test_backtest_refuses_a_group_vacant_in_the_validate_window():
     vacant = vacate_validate(ds, range(7))
     ids = ds.consumer_ids
     with pytest.raises(ValueError) as one:
-        backtest_cv(vacant, SelectionVector.from_indices(30, [4]))
+        backtest_cv(vacant, SelectionVector(30, [4]))
     assert str(one.value) == (
         f"the group of 1 consumer(s) has no usage in the validate window: {ids[4]}"
     )
     with pytest.raises(ValueError) as seven:
-        backtest_cv(vacant, SelectionVector.from_indices(30, range(7)))
+        backtest_cv(vacant, SelectionVector(30, range(7)))
     assert str(seven.value) == (
         "the group of 7 consumer(s) has no usage in the validate window: " + ", ".join(ids[:5])
     )
-    backtest_cv(vacant, SelectionVector.from_indices(30, [4, 20]))  # one active member suffices
+    backtest_cv(vacant, SelectionVector(30, [4, 20]))  # one active member suffices
 
 
 def test_forecaster_roughly_unbiased(synth_medium):

@@ -245,12 +245,11 @@ def test_align_split_rounding():
 
 
 def test_split_out_of_range_is_rejected():
-    with pytest.raises(ValueError, match=r"split must be in \(0, 1\]"):
-        synth_population(SynthSpec(n_consumers=2, n_days=10), split=1.5)
     consumers = [ConsumerSeries("a", _series(dt.date(2021, 1, 1), 4))]
     prices = PriceSeries(_series(dt.date(2021, 1, 1), 4, 3.0), _series(dt.date(2021, 1, 1), 4, 3.0))
-    with pytest.raises(ValueError, match=r"split must be in \(0, 1\]"):
-        align(consumers, prices, split=0.0)
+    for split in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"split must be in \(0, 1\]"):
+            align(consumers, prices, split=split)
 
 
 def test_align_disjoint():
@@ -434,6 +433,11 @@ def test_synth_spec_validation():
         SynthSpec(n_consumers=1, n_days=2, noise_cv=-1.0)
     with pytest.raises(ValueError, match="base_kwh_per_day"):
         SynthSpec(n_consumers=1, n_days=2, base_kwh_per_day=0.0)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="base_kwh_per_day must be finite"):
+            SynthSpec(n_consumers=1, n_days=2, base_kwh_per_day=value)
+        with pytest.raises(ValueError, match="noise_cv must be finite"):
+            SynthSpec(n_consumers=1, n_days=2, noise_cv=value)
 
 
 def test_synth_prices_nonnegative_with_peak():

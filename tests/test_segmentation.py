@@ -14,7 +14,7 @@ from ratecraft.segmentation import (
     segment_population,
     stability_audit,
 )
-from ratecraft.solver import solve_min_lambda
+from ratecraft.solver import lambda_curve, solve_min_lambda
 from ratecraft.types import ConsumerSeries, CostStats, Dataset, HourlyMatrix, SelectionVector
 
 GAMMA = 1e-6
@@ -173,14 +173,14 @@ def test_segment_rejects_unknown_policy_before_any_solve(monkeypatch):
 
 
 def test_segmentation_result_validates_partition():
-    a = SelectionVector.from_indices(4, [0, 1])
-    overlapping = SelectionVector.from_indices(4, [1, 2])
-    g1 = SegmentGroup(round=1, members=a, size=2, rate=2.0, cv=5.0, threshold_met=True)
-    g2 = SegmentGroup(round=2, members=overlapping, size=2, rate=3.0, cv=5.0, threshold_met=True)
+    a = SelectionVector(4, [0, 1])
+    overlapping = SelectionVector(4, [1, 2])
+    g1 = SegmentGroup(round=1, members=a, rate=2.0, cv=5.0, threshold_met=True)
+    g2 = SegmentGroup(round=2, members=overlapping, rate=3.0, cv=5.0, threshold_met=True)
     with pytest.raises(ValueError, match="overlaps"):
         SegmentationResult(groups=(g1, g2), cv_threshold=10.0, leftover_policy="drop")
-    rest = SelectionVector.from_indices(4, [2])
-    g3 = SegmentGroup(round=2, members=rest, size=1, rate=3.0, cv=5.0, threshold_met=True)
+    rest = SelectionVector(4, [2])
+    g3 = SegmentGroup(round=2, members=rest, rate=3.0, cv=5.0, threshold_met=True)
     with pytest.raises(ValueError, match="cover"):
         SegmentationResult(groups=(g1, g3), cv_threshold=10.0, leftover_policy="aggregate")
 
@@ -197,14 +197,14 @@ def test_stability_audit_clean_on_solver_output(synth_medium):
 def test_stability_audit_flags_misassignment():
     # consumer 2 is far cheaper than group 1: joining would lower its rate
     stats = CostStats(t=[10.0, 10.0, 1.0], w=[1.0, 1.0, 1.0])
-    g1_members = SelectionVector.from_indices(3, [0, 1])
-    g2_members = SelectionVector.from_indices(3, [2])
+    g1_members = SelectionVector(3, [0, 1])
+    g2_members = SelectionVector(3, [2])
     g1 = SegmentGroup(
-        round=1, members=g1_members, size=2,
+        round=1, members=g1_members,
         rate=group_lambda(stats, g1_members), cv=5.0, threshold_met=True,
     )
     g2 = SegmentGroup(
-        round=2, members=g2_members, size=1,
+        round=2, members=g2_members,
         rate=group_lambda(stats, g2_members), cv=5.0, threshold_met=True,
     )
     result = SegmentationResult(groups=(g1, g2), cv_threshold=10.0, leftover_policy="aggregate")
@@ -244,8 +244,8 @@ def _random_segmentation(rng, stats):
     cuts = np.sort(rng.choice(np.arange(1, stats.n), size=rng.integers(1, 6), replace=False))
     groups = []
     for k, members in enumerate(np.split(rng.permutation(stats.n), cuts)):
-        sel = SelectionVector.from_indices(stats.n, members)
-        groups.append(SegmentGroup(round=k + 1, members=sel, size=sel.cardinality,
+        sel = SelectionVector(stats.n, members)
+        groups.append(SegmentGroup(round=k + 1, members=sel,
                                    rate=group_lambda(stats, sel), cv=1.0,
                                    threshold_met=bool(rng.random() < 0.8)))
     return SegmentationResult(groups=tuple(groups), cv_threshold=10.0, leftover_policy="aggregate")
@@ -253,13 +253,13 @@ def _random_segmentation(rng, stats):
 
 def test_stability_audit_equals_one_move_at_a_time():
     corrupted_stats = CostStats(t=[10.0, 10.0, 1.0], w=[1.0, 1.0, 1.0])
-    g1 = SelectionVector.from_indices(3, [0, 1])
-    g2 = SelectionVector.from_indices(3, [2])
+    g1 = SelectionVector(3, [0, 1])
+    g2 = SelectionVector(3, [2])
     corrupted = SegmentationResult(
         groups=(
-            SegmentGroup(round=1, members=g1, size=2, rate=group_lambda(corrupted_stats, g1),
+            SegmentGroup(round=1, members=g1, rate=group_lambda(corrupted_stats, g1),
                          cv=5.0, threshold_met=True),
-            SegmentGroup(round=2, members=g2, size=1, rate=group_lambda(corrupted_stats, g2),
+            SegmentGroup(round=2, members=g2, rate=group_lambda(corrupted_stats, g2),
                          cv=5.0, threshold_met=True),
         ),
         cv_threshold=10.0,
@@ -284,8 +284,8 @@ def test_stability_audit_equals_one_move_at_a_time():
 
 def test_stability_audit_single_group_vacuous():
     stats = CostStats(t=[2.0, 3.0], w=[1.0, 1.0])
-    members = SelectionVector.from_indices(2, [0, 1])
-    g = SegmentGroup(round=1, members=members, size=2, rate=2.5, cv=1.0, threshold_met=True)
+    members = SelectionVector(2, [0, 1])
+    g = SegmentGroup(round=1, members=members, rate=2.5, cv=1.0, threshold_met=True)
     result = SegmentationResult(groups=(g,), cv_threshold=10.0, leftover_policy="aggregate")
     report = stability_audit(result, stats, GAMMA)
     assert report.ok
@@ -295,12 +295,12 @@ def test_stability_audit_single_group_vacuous():
 
 @pytest.mark.parametrize("n_stats", [2, 5])
 def test_stability_audit_refuses_stats_of_another_population(n_stats):
-    u = SelectionVector.from_indices(3, [0, 1])
-    v = SelectionVector.from_indices(3, [2])
+    u = SelectionVector(3, [0, 1])
+    v = SelectionVector(3, [2])
     result = SegmentationResult(
         groups=(
-            SegmentGroup(round=1, members=u, size=2, rate=1.0, cv=1.0, threshold_met=True),
-            SegmentGroup(round=2, members=v, size=1, rate=2.0, cv=1.0, threshold_met=True),
+            SegmentGroup(round=1, members=u, rate=1.0, cv=1.0, threshold_met=True),
+            SegmentGroup(round=2, members=v, rate=2.0, cv=1.0, threshold_met=True),
         ),
         cv_threshold=10.0,
         leftover_policy="aggregate",
@@ -308,3 +308,44 @@ def test_stability_audit_refuses_stats_of_another_population(n_stats):
     stats = CostStats(t=[1.0] * n_stats, w=[1.0] * n_stats)
     with pytest.raises(ValueError, match=f"the groups index 3 consumers, the stats {n_stats}"):
         stability_audit(result, stats, GAMMA)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_stability_audit_refuses_gamma_not_positive(gamma):
+    # a negative gamma flagged violations on a clean result; 0 leaves no tolerance at all
+    stats = CostStats(t=[1.0, 2.0], w=[1.0, 1.0])
+    u, v = SelectionVector(2, [0]), SelectionVector(2, [1])
+    clean = SegmentationResult(
+        groups=(
+            SegmentGroup(round=1, members=u, rate=1.0, cv=1.0, threshold_met=True),
+            SegmentGroup(round=2, members=v, rate=2.0, cv=1.0, threshold_met=True),
+        ),
+        cv_threshold=10.0,
+        leftover_policy="aggregate",
+    )
+    assert stability_audit(clean, stats, GAMMA).ok
+    with pytest.raises(ValueError, match="gamma must be > 0"):
+        stability_audit(clean, stats, gamma)
+
+
+_NAN = float("nan")
+_STATS = CostStats(t=[1.0, 2.0, 4.0], w=[1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_min_lambda(_STATS, 2, _NAN), "gamma must be > 0"),
+    (lambda: lambda_curve(_STATS, [1, 2], _NAN), "gamma must be > 0"),
+    (lambda: stability_audit(SegmentationResult((), 10.0, "drop"), _STATS, _NAN),
+     "gamma must be > 0"),
+    (lambda: segment_population(synth_population(SynthSpec(n_consumers=6, n_days=30)), _NAN),
+     "cv_threshold must be positive"),
+    (lambda: SegmentationResult((), _NAN, "drop"), "cv_threshold must be positive"),
+    (lambda: SynthSpec(n_consumers=2, n_days=2, fraction_peaky=_NAN), "fraction_peaky"),
+    (lambda: SynthSpec(n_consumers=2, n_days=2, base_kwh_per_day=_NAN), "base_kwh_per_day"),
+    (lambda: SynthSpec(n_consumers=2, n_days=2, noise_cv=_NAN), "noise_cv"),
+], ids=["solve_min_lambda-gamma", "lambda_curve-gamma", "stability_audit-gamma",
+        "segment_population-cv_threshold", "SegmentationResult-cv_threshold",
+        "SynthSpec-fraction_peaky", "SynthSpec-base_kwh_per_day", "SynthSpec-noise_cv"])
+def test_nan_fails_every_float_range_check(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -4,7 +4,7 @@ import pytest
 from conftest import vacate_validate
 from ratecraft.costs import expected_penalty, mean_real_time_price
 from ratecraft.forecast import DEFAULT_AR_ORDER, fit_profile, group_profile, residual_sigma
-from ratecraft.ingest import SynthSpec, synth_population
+from ratecraft.ingest import SynthSpec, align, synth_population
 from ratecraft.simulate import replay_validate
 from ratecraft.types import Dataset, HourlyMatrix, PriceSeries, SelectionVector
 
@@ -33,7 +33,7 @@ def test_replay_perfect_forecast_matches_lambda():
 
 def test_replay_one_sided_rate_at_least_lambda():
     ds = _premium_dataset(n=40, days=200)
-    sel = SelectionVector.from_indices(40, range(30))
+    sel = SelectionVector(40, range(30))
     report = replay_validate(ds, sel, design="one_sided")
     assert report.realized_rate >= report.lambda_rate
     assert report.expected_gap > 0
@@ -42,7 +42,7 @@ def test_replay_one_sided_rate_at_least_lambda():
 def test_replay_penalty_gap_matches_expectation():
     # empirical mean per-day penalty within 3 standard errors of the closed form
     ds = _premium_dataset()
-    sel = SelectionVector.from_indices(60, range(40))
+    sel = SelectionVector(60, range(40))
     report = replay_validate(ds, sel, design="one_sided", n_days=200)
     assert report.n_days == 200
     p = ds.prices.day_ahead.values
@@ -59,11 +59,11 @@ def test_replay_penalty_gap_matches_expectation():
 def test_replay_error_model_comes_from_the_training_window():
     # sigma is fitted on one-step residuals of rows [order, train_days); held-out days never enter
     ds = synth_population(SynthSpec(n_consumers=20, n_days=40, noise_cv=0.3, seed=5))
-    sel = SelectionVector.from_indices(20, range(0, 20, 2))
+    sel = SelectionVector(20, range(0, 20, 2))
     report = replay_validate(ds, sel, design="one_sided")
     train, start_weekday = ds.train_days, ds.start_weekday
     profile = group_profile(ds, sel)
-    model = fit_profile(profile, train, start_weekday, DEFAULT_AR_ORDER)
+    model = fit_profile(profile, train, start_weekday)
     error_model = residual_sigma(profile, model, DEFAULT_AR_ORDER, train, start_weekday)
     q_mean = mean_real_time_price(ds)
     expected_total = 0.0
@@ -98,7 +98,7 @@ def test_replay_day_limit_and_validation():
 
 def test_replay_refuses_a_selection_vacant_in_the_replayed_days():
     ds = synth_population(SynthSpec(n_consumers=30, n_days=40, seed=3))
-    sel = SelectionVector.from_indices(30, [4])
+    sel = SelectionVector(30, [4])
     late_start = vacate_validate(ds, [4], days=2)  # usage again from the third validate day
     message = f"the group of 1 consumer(s) has no usage in the replayed days: {ds.consumer_ids[4]}"
     for vacant, n_days in ((vacate_validate(ds, [4]), None), (late_start, 2)):
@@ -109,6 +109,7 @@ def test_replay_refuses_a_selection_vacant_in_the_replayed_days():
 
 
 def test_replay_requires_validate_window():
-    ds = synth_population(SynthSpec(n_consumers=4, n_days=20, seed=5), split=1.0)
+    base = synth_population(SynthSpec(n_consumers=4, n_days=20, seed=5))
+    ds = align(base.consumers, base.prices, split=1.0)
     with pytest.raises(ValueError, match="validate window is empty"):
         replay_validate(ds)

@@ -59,7 +59,7 @@ def _stable_sort_feasibility_test(stats, lam, m):
     v = stats.t - lam * stats.w
     chosen = np.argsort(v, kind="stable")[:m]
     if float(v[chosen].sum()) <= 0.0:
-        return SelectionVector.from_indices(stats.n, chosen)
+        return SelectionVector(stats.n, chosen)
     return None
 
 
@@ -127,6 +127,8 @@ def test_solve_rejects_bad_gamma():
     stats = CostStats(t=[1.0, 2.0], w=[1.0, 1.0])
     with pytest.raises(ValueError, match="gamma"):
         solve_min_lambda(stats, 1, 0.0)
+    with pytest.raises(ValueError, match="gamma must be > 0"):
+        solve_min_lambda(stats, 1, float("nan"))
 
 
 def test_solve_degenerate_equal_ratios():

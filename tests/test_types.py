@@ -249,7 +249,7 @@ def test_usage_stack_of_a_hand_built_dataset_is_a_copy():
 
 
 def test_selection_vector_roundtrip():
-    sel = SelectionVector.from_indices(5, [3, 1])
+    sel = SelectionVector(5, [3, 1])
     assert sel.cardinality == 2
     assert sel.n == 5
     assert list(sel.indices) == [1, 3]
@@ -262,22 +262,22 @@ def test_selection_vector_rejects_empty():
 
 def test_selection_vector_rejects_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        SelectionVector.from_indices(3, [5])
+        SelectionVector(3, [5])
     with pytest.raises(ValueError, match="unique"):
-        SelectionVector.from_indices(3, [1, 1])
+        SelectionVector(3, [1, 1])
 
 
 @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
                                    "uint8", "uint16", "uint32", "uint64"])
 def test_selection_from_integer_ndarray(dtype):
-    sel = SelectionVector.from_indices(6, np.array([4, 0, 2], dtype=dtype))
+    sel = SelectionVector(6, np.array([4, 0, 2], dtype=dtype))
     assert sel.cardinality == 3
     assert np.array_equal(sel.bits, [True, False, True, False, True, False])
 
 
 def test_selection_from_python_iterables():
     for indices in ([4, 0, 2], (4, 0, 2), range(0, 6, 2), (i for i in [4, 0, 2])):
-        sel = SelectionVector.from_indices(6, indices)
+        sel = SelectionVector(6, indices)
         assert sel.cardinality == 3
         assert np.array_equal(sel.bits, [True, False, True, False, True, False])
 
@@ -295,7 +295,7 @@ def test_selection_from_python_iterables():
 )
 def test_selection_from_indices_errors(indices, message):
     with pytest.raises(ValueError, match=message):
-        SelectionVector.from_indices(3, indices)
+        SelectionVector(3, indices)
 
 
 INTEGER_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
@@ -343,7 +343,7 @@ def test_selection_vector_matches_mask_rules(n, values, form):
             SelectionVector(n, indices())
         assert str(got.value) == str(exc)
         return
-    for sel in (SelectionVector(n, indices()), SelectionVector.from_indices(n, indices())):
+    for sel in (SelectionVector(n, indices()), SelectionVector(n, indices())):
         assert sel.n == n
         assert sel.indices.dtype == np.intp
         assert np.array_equal(sel.indices, np.flatnonzero(want))
@@ -382,7 +382,7 @@ def test_types_are_frozen():
 
 
 def test_selection_vectors_compare_and_hash_by_members():
-    a = SelectionVector.from_indices(5, [3, 1])
+    a = SelectionVector(5, [3, 1])
     assert a == SelectionVector(5, np.array([1, 3], dtype=np.int64))
     assert hash(a) == hash(SelectionVector(5, [1, 3]))
     assert a != SelectionVector(6, [1, 3])
@@ -396,7 +396,7 @@ def test_selection_vectors_compare_and_hash_by_members():
 def test_types_holding_a_selection_compare_and_hash():
     def group(members):
         u = SelectionVector(4, members)
-        return SegmentGroup(round=1, members=u, size=u.cardinality, rate=2.0, cv=1.0,
+        return SegmentGroup(round=1, members=u, rate=2.0, cv=1.0,
                             threshold_met=True)
 
     assert group([0, 2]) == group([2, 0]) and group([0, 2]) != group([0, 3])
