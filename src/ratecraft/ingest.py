@@ -33,6 +33,7 @@ import datetime as dt
 import math
 import os
 import secrets
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,10 @@ _UNIT_SCALE = {"cents_per_kwh": 1.0, "usd_per_mwh": 0.1}
 
 # Default chronological split: three quarters of the days are history.
 DEFAULT_TRAIN_SPLIT = 0.75
+# Cap on SynthSpec's base_kwh_per_day and noise_cv. synth squares noise_cv, and the
+# forecast error squares hourly group sums of the synthesized kWh, so values near
+# float64's 1.8e308, or its square root, overflow; 1e100 leaves room for both.
+_SYNTH_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,11 @@ class SynthSpec:
         if not (0.0 <= self.fraction_peaky <= 1.0):
             raise ValueError("fraction_peaky must be in [0, 1]")
         for name in ("base_kwh_per_day", "noise_cv"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            if value > _SYNTH_MAX:
+                raise ValueError(f"{name} must be <= {_SYNTH_MAX:g}")
         if self.base_kwh_per_day <= 0:
             raise ValueError("base_kwh_per_day must be > 0")
         if self.noise_cv < 0:
@@ -152,7 +160,7 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
     """
     index: dict[str, int] = {}  # consumer id -> consumer number, in first-appearance order
     ordinal_of: dict[str, int] = {}  # date text -> date ordinal
-    consumer_of_row, ordinal_of_row = [], []
+    consumer_of_row, ordinal_of_row = array("q"), array("q")  # packed int64, viewed below uncopied
     with open(path, newline="") as fh:
         _skip_bom(fh)
         if fh.readline().rstrip("\r\n") != _METER_HEADER_LINE:
@@ -181,8 +189,8 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
     if values.shape != (len(consumer_of_row), HOURS):
         raise ValueError("row count differs between passes")
 
-    consumer = np.array(consumer_of_row)
-    ordinal = np.array(ordinal_of_row)
+    consumer = np.frombuffer(consumer_of_row, dtype=np.int64)
+    ordinal = np.frombuffer(ordinal_of_row, dtype=np.int64)
     if (np.diff(consumer) < 0).any():  # interleaved consumers: group rows, keeping file order
         order = np.argsort(consumer, kind="stable")
         consumer, ordinal, values = consumer[order], ordinal[order], values[order]

@@ -435,11 +435,13 @@ _SPLIT_ONE = "error: split must be < 1: the validate window would be empty\n"
     (["synth", "--base-kwh", "inf"], None, "error: base_kwh_per_day must be finite\n"),
     (["synth", "--noise-cv", "nan"], None, "error: noise_cv must be finite\n"),
     (["synth", "--noise-cv", "inf"], None, "error: noise_cv must be finite\n"),
+    (["synth", "--noise-cv", "1e200"], None, "error: noise_cv must be <= 1e+100\n"),
+    (["synth", "--base-kwh", "1e308"], None, "error: base_kwh_per_day must be <= 1e+100\n"),
 ], ids=["sizes-letters", "sizes-zero", "sizes-empty", "grid-letter", "grid-zero",
         "config-object", "config-fraction", "config-letter", "config-zero",
         "split-curves", "split-segment", "split-simulate", "sizes-before-split",
         "synth-noise", "synth-n", "synth-seed", "synth-base-nan", "synth-base-inf",
-        "synth-noise-nan", "synth-noise-inf"])
+        "synth-noise-nan", "synth-noise-inf", "synth-noise-huge", "synth-base-huge"])
 def test_parameter_errors_exit_2_with_exact_message(tmp_path, capsys, argv, size_grid, err):
     cfg = tmp_path / "config.json"
     if size_grid is not None:

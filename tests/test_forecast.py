@@ -1,9 +1,16 @@
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import make_dataset, vacate_validate
+from ratecraft import forecast
 from ratecraft.forecast import (
     DEFAULT_AR_ORDER,
     CvPoint,
@@ -56,6 +63,114 @@ def test_fit_ar_input_validation():
         fit_ar([1.0, 2.0, 3.0], order=3)
     with pytest.raises(ValueError, match="order"):
         fit_ar([1.0, 2.0], order=0)
+
+
+# -- group_profile ------------------------------------------------------------------
+
+
+def _block_order_reference(usage, members):
+    """group_profile's order, written out as the dense sum of all n rows with 0/1 weights.
+
+    Rows fall into blocks of four, except that the last three of an n % 4 == 3
+    population form {n-3, n-2} and {n-1}. Each block's weighted rows are added
+    in index order, and the block sums are added in block order to a zero row.
+    """
+    n = len(usage)
+    weight = np.zeros(n)
+    weight[list(members)] = 1.0
+    blocks = [range(start, min(start + 4, n)) for start in range(0, n, 4)]
+    if n % 4 == 3:
+        blocks[-1:] = [range(n - 3, n - 1), range(n - 1, n)]
+    total = np.zeros(usage[0].shape)
+    for block in blocks:
+        part = weight[block[0]] * usage[block[0]]
+        for i in block[1:]:
+            part = part + weight[i] * usage[i]
+        total = total + part
+    return total
+
+
+@pytest.mark.parametrize("residue", range(4))
+@given(n_blocks=st.integers(0, 9), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_group_profile_adds_member_rows_in_block_order(residue, n_blocks, seed, data):
+    n = 4 * n_blocks + residue
+    assume(n >= 1)
+    tail = data.draw(st.sets(st.integers(max(n - 3, 0), n - 1), min_size=1))
+    rest = data.draw(st.one_of(st.just(set(range(n))), st.sets(st.integers(0, n - 1))))
+    members = sorted(tail | rest)
+    rng = np.random.default_rng(seed)
+    # magnitudes spread over four decades, so a change of order shows in the last bits
+    usage = np.round(rng.gamma(2.0, 0.5, (n, 3, 24)) * 10.0 ** rng.uniform(-2, 2, (n, 1, 1)), 4)
+    ds = make_dataset(list(usage), da=np.ones(24))
+    assert not np.shares_memory(ds.usage_stack, ds.consumers[0].usage.values)  # a stacked copy
+    profile = group_profile(ds, SelectionVector(n, members))
+    assert profile.tobytes() == _block_order_reference(usage, members).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 37, 38, 39, 40])
+def test_group_profile_of_one_member_and_of_everyone(n):
+    ds = synth_population(SynthSpec(n_consumers=n, n_days=20, noise_cv=0.5, seed=n))
+    usage = ds.usage_stack
+    for i in {0, n // 2, n - 1}:
+        assert group_profile(ds, SelectionVector(n, [i])).tobytes() == usage[i].tobytes()
+    everyone = group_profile(ds, _everyone(ds))
+    assert everyone.tobytes() == _block_order_reference(usage, range(n)).tobytes()
+
+
+def _openblas_core():
+    """Core name of the OpenBLAS numpy loaded, read through its C API; None if not found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs, key=lambda p: ("numpy" not in p, p)):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                fn = getattr(lib, symbol)
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 37, 38, 39, 1001, 1002, 1003, 1004])
+def test_group_profile_equals_the_dense_product_on_skylakex(n):
+    # the order was taken from OpenBLAS's SkylakeX dgemv; other kernels add in other orders
+    core = _openblas_core()
+    if core != "SkylakeX":
+        pytest.skip(f"the pinned order is OpenBLAS's SkylakeX dgemv; numpy's core is {core}")
+    ds = synth_population(SynthSpec(n_consumers=n, n_days=30, noise_cv=0.5, seed=n))
+    flat = ds.usage_stack.reshape(n, -1)
+    rng = np.random.default_rng(n)
+    for k in sorted({1, max(n // 3, 1), max(n - 1, 1), n}):
+        sel = SelectionVector(n, rng.choice(n, size=k, replace=False))
+        dense = (sel.bits.astype(np.float64) @ flat).reshape(ds.n_days, 24)
+        assert group_profile(ds, sel).tobytes() == dense.tobytes()
+
+
+_PROFILE_CODE = (
+    "import numpy as np\n"
+    "from ratecraft.forecast import group_profile\n"
+    "from ratecraft.ingest import SynthSpec, synth_population\n"
+    "from ratecraft.types import SelectionVector\n"
+    "ds = synth_population(SynthSpec(n_consumers=1003, n_days=30, noise_cv=0.5, seed=4))\n"
+    "members = np.random.default_rng(4).choice(1003, size=600, replace=False)\n"
+    "profile = group_profile(ds, SelectionVector(1003, members))\n"
+)
+
+
+def test_group_profile_bytes_do_not_depend_on_the_blas_kernel():
+    src = str(Path(forecast.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _PROFILE_CODE + "print(profile.tobytes().hex())"],
+                           env=env, capture_output=True, text=True, check=True, timeout=120)
+    here = {}
+    exec(_PROFILE_CODE, here)
+    assert child.stdout.strip() == here["profile"].tobytes().hex()
 
 
 # -- fit / predict_day ------------------------------------------------------------
@@ -322,6 +437,15 @@ def test_cv_point_validation():
         CvPoint(m=1, kind="best", cv=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         CvPoint(m=1, kind="random", cv=-0.1)
+
+
+def test_cv_curve_refuses_a_bad_gamma_before_any_backtest(synth_medium, monkeypatch):
+    backtests = []
+    monkeypatch.setattr(forecast, "backtest_cv", lambda *args: backtests.append(args) or 1.0)
+    for gamma in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="gamma must be > 0"):
+            cv_curve(synth_medium, [10, 50], n_random_trials=30, gamma=gamma)
+    assert backtests == []
 
 
 def test_cv_curve_refuses_duplicate_sizes(synth_medium):

@@ -438,6 +438,11 @@ def test_synth_spec_validation():
             SynthSpec(n_consumers=1, n_days=2, base_kwh_per_day=value)
         with pytest.raises(ValueError, match="noise_cv must be finite"):
             SynthSpec(n_consumers=1, n_days=2, noise_cv=value)
+    # finite, but too large for the numerics: noise_cv**2 overflows, and so would the kWh
+    with pytest.raises(ValueError, match=r"noise_cv must be <= 1e\+100"):
+        SynthSpec(n_consumers=1, n_days=2, noise_cv=1e200)
+    with pytest.raises(ValueError, match=r"base_kwh_per_day must be <= 1e\+100"):
+        SynthSpec(n_consumers=1, n_days=2, base_kwh_per_day=1e308)
 
 
 def test_synth_prices_nonnegative_with_peak():
