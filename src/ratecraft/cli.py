@@ -249,9 +249,9 @@ def _run_synth(params):
             noise_cv=params["noise_cv"],
             seed=params["seed"],
         )
+        dataset = synth_population(spec)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    dataset = synth_population(spec)
     out = Path(params["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     write_meter_csv(list(dataset.consumers), out / "meter.csv")

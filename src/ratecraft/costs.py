@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .types import HOURS, CostStats, Dataset, ForecastErrorModel, SelectionVector
+from .types import HOURS, CostStats, Dataset, ForecastErrorModel, SelectionVector, _readonly
 
 SettlementDesign = Literal["two_sided", "one_sided"]
 
@@ -39,9 +39,7 @@ class PurchasePlan:
 
     def __post_init__(self):
         for name in ("adjustment", "purchase"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name), name))
         if np.any(self.purchase < 0):
             raise ValueError("purchase quantities must be nonnegative")
 
@@ -56,11 +54,12 @@ class DailySettlement:
     cost: float  # cents
 
     def __post_init__(self):
+        if not math.isfinite(self.cost):
+            raise ValueError("cost must be finite")
         for name in ("purchased", "consumed"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = _readonly(getattr(self, name), name)
             if np.any(arr < 0):
                 raise ValueError(f"{name} must be nonnegative")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import consumer_stats
 from .solver import DEFAULT_GAMMA, solve_min_lambda
-from .types import HOURS, Dataset, ForecastErrorModel, SelectionVector
+from .types import HOURS, Dataset, ForecastErrorModel, SelectionVector, _readonly
 
 DEFAULT_AR_ORDER = 7  # one week of lags
 MIN_TRAIN_DAYS = 14  # every weekday seen at least twice
@@ -28,26 +28,29 @@ _SHAPE_TOL = 1e-12
 class GroupForecaster:
     """AR coefficients over daily totals plus per-weekday normalized shapes."""
 
-    order: int
     intercept: float
     coeffs: np.ndarray  # (order,), coeffs[j] multiplies the total j+1 days back
     shapes: np.ndarray  # (7, 24) rows normalized to sum 1
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if coeffs.shape != (self.order,):
-            raise ValueError(f"expected {self.order} AR coefficients, got {coeffs.shape}")
-        shapes = np.asarray(self.shapes, dtype=np.float64)
+        if not np.isfinite(self.intercept):
+            raise ValueError("intercept must be finite")
+        coeffs = _readonly(self.coeffs, "coeffs")
+        if coeffs.ndim != 1 or coeffs.size < 1:
+            raise ValueError(f"coeffs must be a nonempty 1-D vector, got shape {coeffs.shape}")
+        shapes = _readonly(self.shapes, "shapes")
         if shapes.shape != (7, HOURS):
             raise ValueError(f"shapes must be (7, {HOURS}), got {shapes.shape}")
         if np.any(shapes < 0):
             raise ValueError("load shapes must be nonnegative")
         if np.any(np.abs(shapes.sum(axis=1) - 1.0) > _SHAPE_TOL):
             raise ValueError("every load shape must sum to 1")
-        coeffs.setflags(write=False)
-        shapes.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "shapes", shapes)
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.size
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def fit_ar(series: Sequence[float], order: int) -> tuple[float, np.ndarray]:
     for j in range(1, order + 1):
         design[:, j] = y[order - j : n - j]
     coef, *_ = np.linalg.lstsq(design, y[order:], rcond=None)
-    return float(coef[0]), coef[1:].copy()
+    return float(coef[0]), coef[1:]
 
 
 def group_profile(dataset: Dataset, u: SelectionVector) -> np.ndarray:
@@ -161,7 +164,7 @@ def fit_profile(profile: np.ndarray, train_days: int, start_weekday: int) -> Gro
             shapes[dow] = s / s.sum()
         else:
             shapes[dow] = overall
-    return GroupForecaster(DEFAULT_AR_ORDER, intercept, coeffs, shapes)
+    return GroupForecaster(intercept, coeffs, shapes)
 
 
 def predict_day(

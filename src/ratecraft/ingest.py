@@ -373,7 +373,8 @@ def synth_population(spec: SynthSpec) -> Dataset:
     2 + 4*exp(-(h-18)^2/8) cents/kWh with a mildly day-varying peak
     amplitude; the real-time price adds zero-mean Gaussian noise truncated
     at 0. All values are quantized to 4 decimals, matching the CSV encoding,
-    so a write/load round trip is exact.
+    so a write/load round trip is exact; a spec whose draws round all of a
+    consumer's readings to 0 raises, naming the first such consumer.
 
     Draws from the seeded generator happen in a fixed order (day multipliers,
     price amplitudes, real-time noise), so equal specs yield byte-identical
@@ -402,10 +403,14 @@ def synth_population(spec: SynthSpec) -> Dataset:
     np.multiply(spec.base_kwh_per_day, usage, out=usage)
     np.round(usage, 4, out=usage)
     usage.setflags(write=False)
-    consumers = tuple(
-        ConsumerSeries(f"{'peak' if p else 'night'}-{i:05d}", HourlyMatrix(usage[i], start))
-        for i, p in enumerate(peaky.tolist())
-    )
+    ids = [f"{'peak' if p else 'night'}-{i:05d}" for i, p in enumerate(peaky.tolist())]
+    blank = np.flatnonzero(~usage.any(axis=(1, 2)))
+    if blank.size:
+        raise ValueError(
+            f"base_kwh_per_day={spec.base_kwh_per_day:g} with noise_cv={spec.noise_cv:g} rounds "
+            f"every reading of {blank.size} consumer(s) to 0 at 4 decimals, first {ids[blank[0]]}"
+        )
+    consumers = tuple(ConsumerSeries(c, HourlyMatrix(usage[i], start)) for i, c in enumerate(ids))
 
     da = np.round(2.0 + 4.0 * np.outer(amplitude, _price_peak()), 4)
     rt = np.round(np.maximum(da + rt_noise, 0.0), 4)

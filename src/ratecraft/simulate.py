@@ -36,12 +36,15 @@ class ReplayReport:
     cost_cents: float
     realized_rate: float  # cents/kWh over the replayed days
     lambda_rate: float  # per-unit cost at day-ahead prices over the same days
-    penalty_gap: float  # realized_rate - lambda_rate
     expected_gap: float  # closed-form expected penalty per kWh
 
     @property
     def n_days(self) -> int:
         return len(self.settlements)
+
+    @property
+    def penalty_gap(self) -> float:
+        return self.realized_rate - self.lambda_rate
 
 
 def replay_validate(
@@ -107,6 +110,5 @@ def replay_validate(
         cost_cents=float(day_costs.sum()),
         realized_rate=rate,
         lambda_rate=lam,
-        penalty_gap=rate - lam,
         expected_gap=expected_total / demand,
     )

@@ -84,22 +84,19 @@ def solve_min_lambda(stats: CostStats, m: int, gamma: float = DEFAULT_GAMMA) -> 
         selection = SelectionVector(stats.n, range(m))
         return SolveResult(lambda_star=hi, selection=selection, iterations=0, bracket=(lo, hi))
 
-    best = feasibility_test(stats, hi, m)
-    assert best is not None  # the max ratio is always feasible
-    best_lam = hi
     iterations = 0
     while hi - lo > gamma:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break  # float resolution exhausted
-        candidate = feasibility_test(stats, mid, m)
-        if candidate is None:
+        if feasibility_test(stats, mid, m) is None:
             lo = mid
         else:
             hi = mid
-            best, best_lam = candidate, mid
         iterations += 1
-    return SolveResult(lambda_star=best_lam, selection=best, iterations=iterations, bracket=(lo, hi))
+    selection = feasibility_test(stats, hi, m)
+    assert selection is not None  # hi is the last feasible midpoint or the max ratio
+    return SolveResult(lambda_star=hi, selection=selection, iterations=iterations, bracket=(lo, hi))
 
 
 def brute_force_min_lambda(stats: CostStats, m: int) -> SolveResult:

@@ -2,19 +2,18 @@
 
 Conventions: energy is kWh, prices are cents/kWh, and every time series is a
 (days x 24) matrix over consecutive calendar days. A group of consumers is a
-SelectionVector, which holds its members' indices. Instances are immutable
-after construction (arrays are marked read-only) and therefore safe to share
-across threads. Constructors validate their invariants and raise ValueError
-instead of silently repairing bad input.
+SelectionVector, which holds its members' indices. Constructors validate their
+invariants and raise ValueError instead of silently repairing bad input.
 
-Arrays are shared, not copied, where nothing can write them: `HourlyMatrix`
-keeps a C-contiguous float64 array that is read-only along its whole `.base`
-chain, and copies any other input. The loader and `synth_population` fill
-one read-only (consumers, days, 24) block and give each consumer a view of
-its rows, so `Dataset.usage_stack` returns a view of that block when the
-consumers' rows lie back to back in it, in order. Any other population (days
-trimmed by `align`, consumers reordered, matrices built by hand) is stacked
-into a copy.
+Instances are immutable, so they are safe to share across threads: every value
+type (`HourlyMatrix`, `CostStats`, `ForecastErrorModel`, `GroupForecaster`,
+`PurchasePlan`, `DailySettlement`) stores its float arrays through `_readonly`,
+which keeps the caller's array only when nothing can write it and otherwise
+copies, so it never freezes the caller's array nor shows the caller's later
+writes. The loader and `synth_population` fill one read-only (consumers, days,
+24) block, each consumer's matrix a view of its rows; `Dataset.usage_stack`
+returns that block when the rows tile it in order, and stacks a copy for any
+other population (days trimmed by `align`, consumers reordered, built by hand).
 """
 
 from __future__ import annotations
@@ -29,12 +28,6 @@ import numpy as np
 HOURS = 24
 
 
-def _readonly_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 def _frozen(arr: np.ndarray) -> bool:
     """True if `arr` and every array it views are read-only, down to the memory's owner."""
     while isinstance(arr, np.ndarray):
@@ -42,6 +35,18 @@ def _frozen(arr: np.ndarray) -> bool:
             return False
         arr = arr.base
     return arr is None
+
+
+def _readonly(values, name: str) -> np.ndarray:
+    """`values` as a finite read-only float64 array: itself if nothing can write it, else a copy."""
+    arr = values
+    if not (type(arr) is np.ndarray and arr.dtype == np.float64
+            and arr.flags.c_contiguous and _frozen(arr)):
+        arr = np.array(arr, dtype=np.float64)
+        arr.setflags(write=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _address(arr: np.ndarray) -> int:
@@ -69,29 +74,21 @@ def _shared_block(rows: list[np.ndarray]) -> np.ndarray | None:
 class HourlyMatrix:
     """Nonnegative hourly values, one row per consecutive day.
 
-    `values` is the caller's array itself when it is a C-contiguous float64
-    ndarray that is read-only, and so is every array in its `.base` chain;
-    otherwise it is a read-only copy, so a later write to the caller's array
-    does not show here. Either way its layout is the one `np.array` gives.
+    `values` is stored by the module's one rule (`_readonly`): the caller's
+    array itself when nothing can write it, else a read-only copy.
     """
 
     values: np.ndarray
     start_date: dt.date
 
     def __post_init__(self):
-        arr = self.values
-        if not (type(arr) is np.ndarray and arr.dtype == np.float64
-                and arr.flags.c_contiguous and _frozen(arr)):
-            arr = np.array(arr, dtype=np.float64)
+        arr = _readonly(self.values, "values")
         if arr.ndim != 2 or arr.shape[1] != HOURS:
             raise ValueError(f"expected a (days, {HOURS}) matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("need at least one day of data")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite")
         if np.any(arr < 0):
             raise ValueError("values must be nonnegative")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -286,14 +283,12 @@ class CostStats:
     w: np.ndarray
 
     def __post_init__(self):
-        t = _readonly_array(self.t)
-        w = _readonly_array(self.w)
+        t = _readonly(self.t, "t")
+        w = _readonly(self.w, "w")
         if t.ndim != 1 or w.ndim != 1 or t.size != w.size:
             raise ValueError("t and w must be 1-D vectors of equal length")
         if t.size < 1:
             raise ValueError("need stats for at least one consumer")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
-            raise ValueError("t and w must be finite")
         if np.any(w <= 0):
             raise ValueError("every consumer must have positive total usage w")
         if np.any(t < 0):
@@ -318,11 +313,9 @@ class ForecastErrorModel:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = _readonly_array(self.sigma)
+        sigma = _readonly(self.sigma, "sigma")
         if sigma.shape != (HOURS,):
             raise ValueError(f"sigma must have shape ({HOURS},), got {sigma.shape}")
-        if not np.all(np.isfinite(sigma)):
-            raise ValueError("sigma must be finite")
         if np.any(sigma < 0):
             raise ValueError("sigma must be nonnegative in every hour")
         object.__setattr__(self, "sigma", sigma)

@@ -409,6 +409,8 @@ def test_config_size_list_may_be_a_json_list(tmp_path, capsys):
 
 _NOT_INTS = "error: expected a comma-separated list of integers, got {!r}\n"
 _SPLIT_ONE = "error: split must be < 1: the validate window would be empty\n"
+_ROUNDS_TO_ZERO = ("error: base_kwh_per_day={} with noise_cv={} rounds every reading of 3 "
+                   "consumer(s) to 0 at 4 decimals, first peak-00000\n")
 
 
 @pytest.mark.parametrize("argv, size_grid, err", [
@@ -437,11 +439,16 @@ _SPLIT_ONE = "error: split must be < 1: the validate window would be empty\n"
     (["synth", "--noise-cv", "inf"], None, "error: noise_cv must be finite\n"),
     (["synth", "--noise-cv", "1e200"], None, "error: noise_cv must be <= 1e+100\n"),
     (["synth", "--base-kwh", "1e308"], None, "error: base_kwh_per_day must be <= 1e+100\n"),
+    (["synth", "--n", "3", "--days", "5", "--base-kwh", "1e-9"], None,
+     _ROUNDS_TO_ZERO.format("1e-09", "0.3")),
+    (["synth", "--n", "3", "--days", "5", "--noise-cv", "1e100"], None,
+     _ROUNDS_TO_ZERO.format("10", "1e+100")),
 ], ids=["sizes-letters", "sizes-zero", "sizes-empty", "grid-letter", "grid-zero",
         "config-object", "config-fraction", "config-letter", "config-zero",
         "split-curves", "split-segment", "split-simulate", "sizes-before-split",
         "synth-noise", "synth-n", "synth-seed", "synth-base-nan", "synth-base-inf",
-        "synth-noise-nan", "synth-noise-inf", "synth-noise-huge", "synth-base-huge"])
+        "synth-noise-nan", "synth-noise-inf", "synth-noise-huge", "synth-base-huge",
+        "synth-base-rounds-to-zero", "synth-noise-rounds-to-zero"])
 def test_parameter_errors_exit_2_with_exact_message(tmp_path, capsys, argv, size_grid, err):
     cfg = tmp_path / "config.json"
     if size_grid is not None:

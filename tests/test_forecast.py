@@ -215,7 +215,7 @@ def test_fit_shapes_normalized(synth_medium):
 
 def test_predict_day_uniform_shape():
     model = GroupForecaster(
-        order=1, intercept=24.0, coeffs=np.zeros(1), shapes=np.full((7, 24), 1.0 / 24.0)
+        intercept=24.0, coeffs=np.zeros(1), shapes=np.full((7, 24), 1.0 / 24.0)
     )
     pred = predict_day(model, [5.0], day_of_week=0)
     assert np.allclose(pred, 1.0)
@@ -223,7 +223,7 @@ def test_predict_day_uniform_shape():
 
 def test_predict_day_total_floor_and_history_check():
     model = GroupForecaster(
-        order=2, intercept=-50.0, coeffs=np.zeros(2), shapes=np.full((7, 24), 1.0 / 24.0)
+        intercept=-50.0, coeffs=np.zeros(2), shapes=np.full((7, 24), 1.0 / 24.0)
     )
     assert np.allclose(predict_day(model, [1.0, 2.0], 0), 0.0)
     with pytest.raises(ValueError, match="history"):
@@ -240,7 +240,7 @@ def test_predict_day_sums_to_total(total, raw):
     shape = np.asarray(raw)
     shape = shape / shape.sum()
     model = GroupForecaster(
-        order=1, intercept=total, coeffs=np.zeros(1), shapes=np.tile(shape, (7, 1))
+        intercept=total, coeffs=np.zeros(1), shapes=np.tile(shape, (7, 1))
     )
     pred = predict_day(model, [0.0], day_of_week=3)
     assert float(pred.sum()) == pytest.approx(total, rel=1e-12, abs=1e-12)
@@ -249,7 +249,6 @@ def test_predict_day_sums_to_total(total, raw):
 def test_ar_lag_ordering():
     # coeffs[0] must multiply yesterday, not the oldest lag
     model = GroupForecaster(
-        order=2,
         intercept=0.0,
         coeffs=np.array([1.0, 0.0]),
         shapes=np.full((7, 24), 1.0 / 24.0),
@@ -272,7 +271,6 @@ def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floo
     intercept, coeffs = fit_ar(totals[: ds.train_days], order)
     # lowering the intercept makes some predicted totals hit the floor at 0
     model = GroupForecaster(
-        order=order,
         intercept=intercept + floor_shift * float(totals.mean()),
         coeffs=coeffs,
         shapes=_fit(ds, sel).shapes,
@@ -285,9 +283,18 @@ def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floo
         assert np.array_equal(block, reference)
 
 
+@pytest.mark.parametrize("order", [1, 3, DEFAULT_AR_ORDER])
+def test_forecaster_order_is_the_number_of_coefficients(order):
+    shapes = np.full((7, 24), 1.0 / 24.0)
+    assert GroupForecaster(0.0, np.zeros(order), shapes).order == order
+    for coeffs in (np.zeros(0), np.zeros((order, 1)), 0.5):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            GroupForecaster(0.0, coeffs, shapes)
+
+
 def test_predict_rows_rejects_rows_without_history():
     model = GroupForecaster(
-        order=3, intercept=1.0, coeffs=np.zeros(3), shapes=np.full((7, 24), 1.0 / 24.0)
+        intercept=1.0, coeffs=np.zeros(3), shapes=np.full((7, 24), 1.0 / 24.0)
     )
     totals = np.ones(10)
     assert predict_rows(model, totals, 5, 5, 0).shape == (0, 24)

@@ -445,6 +445,15 @@ def test_synth_spec_validation():
         SynthSpec(n_consumers=1, n_days=2, base_kwh_per_day=1e308)
 
 
+def test_synth_refuses_draws_that_round_a_consumer_to_zero():
+    # at 1e-3 kWh a day, consumers 4 and 5 draw day multipliers that round every reading to 0
+    spec = SynthSpec(n_consumers=6, n_days=2, base_kwh_per_day=1e-3, noise_cv=3.0)
+    with pytest.raises(ValueError, match=r"^base_kwh_per_day=0\.001 with noise_cv=3 rounds every "
+                                         r"reading of 2 consumer\(s\) to 0 at 4 decimals, "
+                                         r"first night-00004$"):
+        synth_population(spec)
+
+
 def test_synth_prices_nonnegative_with_peak():
     ds = synth_population(SynthSpec(n_consumers=2, n_days=30, seed=9))
     da = ds.prices.day_ahead.values

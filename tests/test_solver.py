@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ratecraft import solver
@@ -11,6 +11,7 @@ from ratecraft.segmentation import segment_population
 from ratecraft.solver import (
     brute_force_min_lambda,
     feasibility_test,
+    SolveResult,
     lambda_curve,
     solve_min_lambda,
 )
@@ -95,6 +96,51 @@ def test_solve_is_bit_equal_with_stable_sort_reference(monkeypatch):
         assert a.bracket == b.bracket
         assert a.iterations == b.iterations
         assert np.array_equal(a.selection.bits, b.selection.bits)
+
+
+def _reference_bisection(stats, m, gamma):
+    """The bisection as it once was: tests the max ratio first and carries the last selection."""
+    ratios = stats.ratios
+    lo, hi = float(ratios.min()), float(ratios.max())
+    best, best_lam, iterations = solver.feasibility_test(stats, hi, m), hi, 0
+    while hi - lo > gamma:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            break
+        candidate = solver.feasibility_test(stats, mid, m)
+        if candidate is None:
+            lo = mid
+        else:
+            hi = mid
+            best, best_lam = candidate, mid
+        iterations += 1
+    return SolveResult(best_lam, best, iterations, (lo, hi))
+
+
+@given(
+    tw=st.one_of(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), min_size=2, max_size=12),
+        st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(1e-3, 1e3)), min_size=2, max_size=12),
+    ),
+    gamma=st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]),
+    data=st.data(),
+)
+def test_solve_equals_the_reference_bisection_with_as_many_tests(tw, gamma, data):
+    # integer t and w put ties and midpoints that land exactly on a group's rate
+    t, w = zip(*tw)
+    stats = CostStats(t=t, w=w)
+    assume(float(stats.ratios.max() - stats.ratios.min()) > gamma)
+    m = data.draw(st.integers(1, stats.n))
+    calls = []
+    test = solver.feasibility_test
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "feasibility_test", lambda *a: calls.append(a) or test(*a))
+        got = solve_min_lambda(stats, m, gamma)
+        tested = len(calls)
+        want = _reference_bisection(stats, m, gamma)
+    assert len(calls) == 2 * tested == 2 * (got.iterations + 1)
+    assert got.lambda_star == want.lambda_star and got.bracket == want.bracket
+    assert got.iterations == want.iterations and got.selection == want.selection
 
 
 def test_segmentation_is_bit_equal_with_stable_sort_reference(monkeypatch, synth_medium):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ratecraft.costs import DailySettlement, PurchasePlan
+from ratecraft.forecast import GroupForecaster
 from ratecraft.segmentation import SegmentationResult, SegmentGroup
 from ratecraft.solver import SolveResult
 from ratecraft.types import (
@@ -373,6 +375,60 @@ def test_forecast_error_model_validation():
     bad[3] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
         ForecastErrorModel(sigma=bad)
+
+
+_UNIFORM_SHAPES = np.full((7, 24), 1.0 / 24.0)
+
+# Each value type: how to build it from its array fields (and its one scalar field, if any),
+# a valid array for each of those fields, and the name of that scalar field.
+_VALUE_TYPES = {
+    "HourlyMatrix": (lambda **a: HourlyMatrix(start_date=START, **a),
+                     {"values": np.ones((2, 24))}, None),
+    "CostStats": (CostStats, {"t": np.ones(3), "w": np.full(3, 2.0)}, None),
+    "ForecastErrorModel": (ForecastErrorModel, {"sigma": np.ones(24)}, None),
+    "GroupForecaster": (lambda intercept=1.0, **a: GroupForecaster(intercept, **a),
+                        {"coeffs": np.zeros(7), "shapes": _UNIFORM_SHAPES}, "intercept"),
+    "PurchasePlan": (PurchasePlan, {"adjustment": np.zeros(24), "purchase": np.ones(24)}, None),
+    "DailySettlement": (lambda cost=1.0, **a: DailySettlement(day_index=0, cost=cost, **a),
+                        {"purchased": np.ones(24), "consumed": np.full(24, 2.0)}, "cost"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALUE_TYPES))
+def test_value_types_store_arrays_by_one_rule(kind):
+    build, fields, scalar = _VALUE_TYPES[kind]
+
+    # a writable array, or a read-only view of one, is copied and left as the caller made it
+    for writable in (True, False):
+        owners = {name: arr.copy() for name, arr in fields.items()}
+        given = {name: owner[...] for name, owner in owners.items()}
+        for view in given.values():
+            view.setflags(write=writable)
+        value = build(**given)
+        for name, owner in owners.items():
+            stored = getattr(value, name)
+            assert not stored.flags.writeable and not np.shares_memory(stored, owner)
+            assert given[name].flags.writeable == writable
+            owner += 1.0
+            assert np.array_equal(stored, fields[name])
+
+    # an array that nothing can write is kept as the same object
+    frozen = {name: arr.copy() for name, arr in fields.items()}
+    for arr in frozen.values():
+        arr.setflags(write=False)
+    value = build(**frozen)
+    assert all(getattr(value, name) is arr for name, arr in frozen.items())
+
+    # NaN and inf are refused, naming the field
+    for bad in (np.nan, np.inf, -np.inf):
+        for name, arr in fields.items():
+            cell = arr.copy()
+            cell.flat[-1] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                build(**{**fields, name: cell})
+        if scalar is not None:
+            with pytest.raises(ValueError, match=f"^{scalar} must be finite$"):
+                build(**{scalar: bad}, **fields)
 
 
 def test_types_are_frozen():
