@@ -32,6 +32,7 @@ from .ingest import (
     DEFAULT_TRAIN_SPLIT,
     EmptyTrainWindow,
     SynthSpec,
+    _decoded,
     align,
     atomic_write,
     load_meter_csv,
@@ -148,7 +149,7 @@ def _load_config(path) -> dict:
     """The config file's values by parameter name, converted as their flags would be."""
     if path is None:
         return {}
-    with open(path) as fh:
+    with _decoded(path), open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
@@ -394,7 +395,8 @@ def _run_segment(params):
 
 
 def _read_selection_ids(path) -> list[str]:
-    lines = Path(path).read_text().removeprefix("\ufeff").splitlines()
+    with _decoded(path):
+        lines = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     if not lines or lines[0] != "consumer_id":
         raise ValueError(f"{path}: expected a selection CSV with header consumer_id")
     ids = [line for line in lines[1:] if line]

@@ -38,10 +38,9 @@ class PurchasePlan:
     purchase: np.ndarray
 
     def __post_init__(self):
-        for name in ("adjustment", "purchase"):
-            object.__setattr__(self, name, _readonly(getattr(self, name), name))
-        if np.any(self.purchase < 0):
-            raise ValueError("purchase quantities must be nonnegative")
+        adjustment = _readonly(self.adjustment, "adjustment", (HOURS,), nonnegative=False)
+        object.__setattr__(self, "adjustment", adjustment)
+        object.__setattr__(self, "purchase", _readonly(self.purchase, "purchase", (HOURS,)))
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,12 @@ class DailySettlement:
     cost: float  # cents
 
     def __post_init__(self):
+        if self.day_index < 0:
+            raise ValueError("day_index must be nonnegative")
         if not math.isfinite(self.cost):
             raise ValueError("cost must be finite")
         for name in ("purchased", "consumed"):
-            arr = _readonly(getattr(self, name), name)
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name), name, (HOURS,)))
 
 
 def consumer_stats(dataset: Dataset) -> CostStats:
@@ -138,16 +136,8 @@ def _optimal_adjustment(sigma: np.ndarray, p: np.ndarray, q_mean: np.ndarray) ->
 
 
 def _validate_price_inputs(p, q_mean):
-    p = np.asarray(p, dtype=np.float64)
-    q_mean = np.asarray(q_mean, dtype=np.float64)
-    if p.shape != (HOURS,) or q_mean.shape != (HOURS,):
-        raise ValueError(f"prices must be {HOURS}-vectors")
-    if not np.isfinite(p).all():
-        raise ValueError("day-ahead prices must be finite in every hour")
-    if not np.isfinite(q_mean).all():
-        raise ValueError("expected real-time price must be finite in every hour")
-    if np.any(p < 0):
-        raise ValueError("day-ahead prices must be nonnegative")
+    p = _readonly(p, "day-ahead prices", (HOURS,))
+    q_mean = _readonly(q_mean, "expected real-time price", (HOURS,), nonnegative=False)
     if np.any(q_mean <= 0):
         raise ValueError("expected real-time price must be positive in every hour")
     return p, q_mean
@@ -168,11 +158,7 @@ def newsvendor_purchase(
     with sigma_h = 0 the purchase is exactly the forecast.
     """
     p, q_mean = _validate_price_inputs(p, q_mean)
-    forecast = np.asarray(forecast, dtype=np.float64)
-    if forecast.shape != (HOURS,):
-        raise ValueError(f"forecast must be a {HOURS}-vector")
-    if not np.isfinite(forecast).all():
-        raise ValueError("forecast must be finite in every hour")
+    forecast = _readonly(forecast, "forecast", (HOURS,), nonnegative=False)
     delta = _optimal_adjustment(error_model.sigma, p, q_mean)
     purchase = np.maximum(forecast + delta, 0.0)
     return PurchasePlan(adjustment=delta, purchase=purchase)

@@ -35,14 +35,8 @@ class GroupForecaster:
     def __post_init__(self):
         if not np.isfinite(self.intercept):
             raise ValueError("intercept must be finite")
-        coeffs = _readonly(self.coeffs, "coeffs")
-        if coeffs.ndim != 1 or coeffs.size < 1:
-            raise ValueError(f"coeffs must be a nonempty 1-D vector, got shape {coeffs.shape}")
-        shapes = _readonly(self.shapes, "shapes")
-        if shapes.shape != (7, HOURS):
-            raise ValueError(f"shapes must be (7, {HOURS}), got {shapes.shape}")
-        if np.any(shapes < 0):
-            raise ValueError("load shapes must be nonnegative")
+        coeffs = _readonly(self.coeffs, "coeffs", ("order",), nonnegative=False)
+        shapes = _readonly(self.shapes, "shapes", (7, HOURS))
         if np.any(np.abs(shapes.sum(axis=1) - 1.0) > _SHAPE_TOL):
             raise ValueError("every load shape must sum to 1")
         object.__setattr__(self, "coeffs", coeffs)
@@ -155,12 +149,12 @@ def fit_profile(profile: np.ndarray, train_days: int, start_weekday: int) -> Gro
     normalized = train[active] / totals[active, None]
     overall = normalized.mean(axis=0)
     overall = overall / overall.sum()
-    weekdays = (start_weekday + np.arange(train_days)) % 7
+    weekday_of_active = ((start_weekday + np.arange(train_days)) % 7)[active]
     shapes = np.empty((7, HOURS))
     for dow in range(7):
-        rows = active & (weekdays == dow)
-        if np.any(rows):
-            s = (train[rows] / totals[rows, None]).mean(axis=0)
+        rows = normalized[weekday_of_active == dow]
+        if rows.size:
+            s = rows.mean(axis=0)
             shapes[dow] = s / s.sum()
         else:
             shapes[dow] = overall

@@ -3,10 +3,11 @@
 File formats
 ------------
 Meter CSV: header ``consumer_id,date,h00,...,h23``, one row per consumer-day,
-dates ISO-8601 and consecutive per consumer, values in kWh written with
+dates ``YYYY-MM-DD`` and consecutive per consumer, values in kWh written with
 exactly 4 fractional digits. A consumer id may not hold a comma, a double
 quote or a line break, so that it is always one plain CSV field.
 
+Files are UTF-8, and one that does not decode is refused with its path.
 Written header and data lines end in CRLF, the price file's ``#unit=`` line
 in LF. LF and CRLF line ends are both read, and one leading UTF-8 byte-order
 mark is skipped. The meter file is read in bulk (ids and dates in one pass
@@ -32,8 +33,10 @@ import csv
 import datetime as dt
 import math
 import os
+import re
 import secrets
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,8 @@ _METER_HEADER_LINE = ",".join(METER_HEADER)
 _ROW = "%s,%s," + ",".join(["%.4f"] * HOURS) + "\r\n"
 
 _UNIT_SCALE = {"cents_per_kwh": 1.0, "usd_per_mwh": 0.1}
+# The one date form: date.fromisoformat also takes "20210105" from Python 3.11 on.
+_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
 # Default chronological split: three quarters of the days are history.
 DEFAULT_TRAIN_SPLIT = 0.75
@@ -89,17 +94,32 @@ class SynthSpec:
             raise ValueError("seed must be >= 0")
 
 
-def _skip_bom(fh):
-    """Move past one leading UTF-8 byte-order mark, if the text file starts with one."""
-    if fh.read(1) != "\ufeff":
-        fh.seek(0)
+@contextmanager
+def _decoded(path):
+    """Raise a byte that is not UTF-8, read within the block, as a ValueError naming `path`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _open_text(path):
+    """`path` opened as UTF-8 text, past one leading byte-order mark, under `_decoded`."""
+    with _decoded(path), open(path, encoding="utf-8", newline="") as fh:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
+        yield fh
 
 
 def _parse_date(text: str, lineno: int, path: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError:
-        raise ValueError(f"{path}: bad date {text!r} at row {lineno}") from None
+    """`text` as a date if it is exactly YYYY-MM-DD, the one date rule of every file."""
+    if _DATE.fullmatch(text):
+        try:
+            return dt.date.fromisoformat(text)
+        except ValueError:  # a month or a day out of range
+            pass
+    raise ValueError(f"{path}: bad date {text!r} at row {lineno}")
 
 
 def _parse_hours(cells: list[str], lineno: int, path: str) -> np.ndarray:
@@ -161,8 +181,7 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
     index: dict[str, int] = {}  # consumer id -> consumer number, in first-appearance order
     ordinal_of: dict[str, int] = {}  # date text -> date ordinal
     consumer_of_row, ordinal_of_row = array("q"), array("q")  # packed int64, viewed below uncopied
-    with open(path, newline="") as fh:
-        _skip_bom(fh)
+    with _open_text(path) as fh:
         if fh.readline().rstrip("\r\n") != _METER_HEADER_LINE:
             raise ValueError("not the meter header")
         for lineno, line in enumerate(fh, start=2):
@@ -178,7 +197,7 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
                 i = index[cid] = len(index)
             day = ordinal_of.get(date)
             if day is None:
-                day = ordinal_of[date] = dt.date.fromisoformat(date).toordinal()
+                day = ordinal_of[date] = _parse_date(date, lineno, path).toordinal()
             consumer_of_row.append(i)
             ordinal_of_row.append(day)
         if not consumer_of_row:
@@ -210,8 +229,7 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
 def _load_meter_rows(path: str) -> list[ConsumerSeries]:
     """The row-by-row meter parser: slow, but its errors name the file row or consumer."""
     rows_by_consumer: dict[str, list[tuple[dt.date, np.ndarray]]] = {}
-    with open(path, newline="") as fh:
-        _skip_bom(fh)
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != METER_HEADER:
@@ -244,8 +262,7 @@ def _load_meter_rows(path: str) -> list[ConsumerSeries]:
 def load_price_csv(path) -> PriceSeries:
     """Load aligned DA/RT prices, converting to cents/kWh per the unit line."""
     path = str(path)
-    with open(path, newline="") as fh:
-        _skip_bom(fh)
+    with _open_text(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("#unit="):
             raise ValueError(f"{path}: missing #unit= metadata line")
@@ -292,7 +309,7 @@ def atomic_write(path, write_rows):
     tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", newline="") as fh:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             write_rows(fh)
         os.replace(tmp, path)
     except BaseException:

@@ -7,13 +7,15 @@ invariants and raise ValueError instead of silently repairing bad input.
 
 Instances are immutable, so they are safe to share across threads: every value
 type (`HourlyMatrix`, `CostStats`, `ForecastErrorModel`, `GroupForecaster`,
-`PurchasePlan`, `DailySettlement`) stores its float arrays through `_readonly`,
-which keeps the caller's array only when nothing can write it and otherwise
-copies, so it never freezes the caller's array nor shows the caller's later
-writes. The loader and `synth_population` fill one read-only (consumers, days,
-24) block, each consumer's matrix a view of its rows; `Dataset.usage_stack`
-returns that block when the rows tile it in order, and stacks a copy for any
-other population (days trimmed by `align`, consumers reordered, built by hand).
+`PurchasePlan`, `DailySettlement`) and the purchase rule take float arrays
+through one rule, `_readonly`: finite, of the field's shape, nonnegative unless
+signed. It keeps the caller's array only when nothing can write it and
+otherwise copies, so it never freezes the caller's array nor shows the
+caller's later writes. The loader and `synth_population` fill one read-only
+(consumers, days, 24) block, each consumer's matrix a view of its rows;
+`Dataset.usage_stack` returns that block when the rows tile it in order, and
+stacks a copy for any other population (days trimmed by `align`, consumers
+reordered, built by hand).
 """
 
 from __future__ import annotations
@@ -37,8 +39,12 @@ def _frozen(arr: np.ndarray) -> bool:
     return arr is None
 
 
-def _readonly(values, name: str) -> np.ndarray:
-    """`values` as a finite read-only float64 array: itself if nothing can write it, else a copy."""
+def _readonly(values, name: str, shape: tuple, nonnegative: bool = True) -> np.ndarray:
+    """`values` as a finite read-only float64 array of `shape`: itself if unwritable, else a copy.
+
+    `shape` gives each axis as an exact length, or as a name ("days") for any
+    length >= 1. Checks finite, then shape, then sign unless not `nonnegative`.
+    """
     arr = values
     if not (type(arr) is np.ndarray and arr.dtype == np.float64
             and arr.flags.c_contiguous and _frozen(arr)):
@@ -46,6 +52,13 @@ def _readonly(values, name: str) -> np.ndarray:
         arr.setflags(write=False)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
+    if arr.ndim != len(shape) or not all(
+            n >= 1 if isinstance(want, str) else n == want for n, want in zip(arr.shape, shape)):
+        named = " and ".join(f"{axis} >= 1" for axis in shape if isinstance(axis, str))
+        expected = str(tuple(shape)).replace("'", "") + (f" with {named}" if named else "")
+        raise ValueError(f"{name} must have shape {expected}, got {arr.shape}")
+    if nonnegative and (arr < 0).any():
+        raise ValueError(f"{name} must be nonnegative")
     return arr
 
 
@@ -74,22 +87,15 @@ def _shared_block(rows: list[np.ndarray]) -> np.ndarray | None:
 class HourlyMatrix:
     """Nonnegative hourly values, one row per consecutive day.
 
-    `values` is stored by the module's one rule (`_readonly`): the caller's
-    array itself when nothing can write it, else a read-only copy.
+    `values` is stored by the module's one rule (`_readonly`): a finite,
+    nonnegative (days, 24) array, kept if nothing can write it, else copied.
     """
 
     values: np.ndarray
     start_date: dt.date
 
     def __post_init__(self):
-        arr = _readonly(self.values, "values")
-        if arr.ndim != 2 or arr.shape[1] != HOURS:
-            raise ValueError(f"expected a (days, {HOURS}) matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("need at least one day of data")
-        if np.any(arr < 0):
-            raise ValueError("values must be nonnegative")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _readonly(self.values, "values", ("days", HOURS)))
 
     @property
     def n_days(self) -> int:
@@ -283,16 +289,10 @@ class CostStats:
     w: np.ndarray
 
     def __post_init__(self):
-        t = _readonly(self.t, "t")
-        w = _readonly(self.w, "w")
-        if t.ndim != 1 or w.ndim != 1 or t.size != w.size:
-            raise ValueError("t and w must be 1-D vectors of equal length")
-        if t.size < 1:
-            raise ValueError("need stats for at least one consumer")
+        t = _readonly(self.t, "t", ("consumers",))
+        w = _readonly(self.w, "w", t.shape, nonnegative=False)
         if np.any(w <= 0):
             raise ValueError("every consumer must have positive total usage w")
-        if np.any(t < 0):
-            raise ValueError("price-weighted usage t must be nonnegative")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "w", w)
 
@@ -313,9 +313,4 @@ class ForecastErrorModel:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = _readonly(self.sigma, "sigma")
-        if sigma.shape != (HOURS,):
-            raise ValueError(f"sigma must have shape ({HOURS},), got {sigma.shape}")
-        if np.any(sigma < 0):
-            raise ValueError("sigma must be nonnegative in every hour")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _readonly(self.sigma, "sigma", (HOURS,)))

@@ -479,3 +479,15 @@ def test_selection_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
                      "--selection", str(selection), "--out-dir", str(tmp_path / name)]) == 0
     assert ((tmp_path / "plain" / "settlement.csv").read_bytes()
             == (tmp_path / "bom" / "settlement.csv").read_bytes())
+
+
+def test_files_that_are_not_utf8_are_named_and_keep_their_exit_codes(tmp_path, capsys):
+    selection = tmp_path / "selection.csv"
+    selection.write_bytes("consumer_id\ncaf\xe9\n".encode("latin-1"))
+    assert main(["simulate", "--meter", METER, "--prices", PRICES,
+                 "--selection", str(selection), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {selection}: 'utf-8' codec can't decode")
+    config = tmp_path / "config.json"
+    config.write_bytes('{"out_dir": "caf\xe9"}'.encode("latin-1"))
+    assert main(["synth", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: 'utf-8' codec can't decode")

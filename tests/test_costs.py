@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -302,6 +303,35 @@ def test_purchase_rejects_non_finite_inputs(name, label, value):
     if name != "forecast":
         with pytest.raises(ValueError, match=f"{label} must be finite"):
             expected_penalty(model, inputs["p"], inputs["q_mean"])
+
+
+@pytest.mark.parametrize("name, label", [
+    ("forecast", "forecast"),
+    ("p", "day-ahead prices"),
+    ("q_mean", "expected real-time price"),
+])
+def test_purchase_inputs_must_be_24_vectors(name, label):
+    model = _flat_sigma(1.0)
+    for wrong in (np.full(23, 2.0), np.full((1, 24), 2.0), 2.0):
+        inputs = {"forecast": np.full(24, 2.0), "p": np.full(24, 3.0), "q_mean": np.full(24, 5.0)}
+        inputs[name] = wrong
+        message = rf"^{label} must have shape \(24,\), got {re.escape(str(np.shape(wrong)))}$"
+        with pytest.raises(ValueError, match=message):
+            newsvendor_purchase(inputs["forecast"], model, inputs["p"], inputs["q_mean"])
+        if name != "forecast":
+            with pytest.raises(ValueError, match=message):
+                expected_penalty(model, inputs["p"], inputs["q_mean"])
+
+
+def test_purchase_refuses_negative_prices_and_keeps_a_negative_forecast():
+    p = np.full(24, 3.0)
+    p[2] = -0.1
+    with pytest.raises(ValueError, match="^day-ahead prices must be nonnegative$"):
+        newsvendor_purchase(np.ones(24), _flat_sigma(1.0), p, np.full(24, 5.0))
+    forecast = np.full(24, -1.0)
+    plan = newsvendor_purchase(forecast, _flat_sigma(0.0), np.full(24, 3.0), np.full(24, 5.0))
+    assert np.array_equal(plan.purchase, np.zeros(24))
+    assert forecast.flags.writeable
 
 
 @given(p1=st.floats(0.1, 10.0), p2=st.floats(0.1, 10.0))

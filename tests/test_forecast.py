@@ -200,6 +200,38 @@ def test_fit_skips_zero_usage_days():
     assert np.all(np.isfinite(model.shapes))
 
 
+def _weekday_shapes_by_masks(profile, train_days, start_weekday):
+    """The weekday shapes as fit_profile took them before: each weekday's rows divided anew."""
+    train = profile[:train_days]
+    totals = train.sum(axis=1)
+    active = totals > 0
+    overall = (train[active] / totals[active, None]).mean(axis=0)
+    overall = overall / overall.sum()
+    weekdays = (start_weekday + np.arange(train_days)) % 7
+    shapes = np.empty((7, 24))
+    for dow in range(7):
+        rows = active & (weekdays == dow)
+        if np.any(rows):
+            s = (train[rows] / totals[rows, None]).mean(axis=0)
+            shapes[dow] = s / s.sum()
+        else:
+            shapes[dow] = overall
+    return shapes
+
+
+@given(seed=st.integers(0, 2**32 - 1), days=st.integers(14, 60), extra=st.integers(0, 10),
+       start_weekday=st.integers(0, 6), vacancy=st.floats(0.0, 0.95),
+       scale=st.floats(-3.0, 3.0))
+def test_fit_profile_weekday_shapes_equal_the_masked_loop(
+        seed, days, extra, start_weekday, vacancy, scale):
+    rng = np.random.default_rng(seed)
+    profile = rng.uniform(0.0, 10.0 ** scale, (days + extra, 24))
+    profile[rng.random(days + extra) < vacancy] = 0.0  # vacant days, some weekdays all vacant
+    profile[rng.integers(days)] += 1.0  # at least one active training day
+    model = fit_profile(profile, days, start_weekday)
+    assert model.shapes.tobytes() == _weekday_shapes_by_masks(profile, days, start_weekday).tobytes()
+
+
 def test_fit_size_independence(synth_medium):
     one = SelectionVector(synth_medium.n_consumers, [0])
     many = _everyone(synth_medium)
@@ -288,7 +320,7 @@ def test_forecaster_order_is_the_number_of_coefficients(order):
     shapes = np.full((7, 24), 1.0 / 24.0)
     assert GroupForecaster(0.0, np.zeros(order), shapes).order == order
     for coeffs in (np.zeros(0), np.zeros((order, 1)), 0.5):
-        with pytest.raises(ValueError, match="nonempty 1-D"):
+        with pytest.raises(ValueError, match=r"^coeffs must have shape \(order,\).*, got "):
             GroupForecaster(0.0, coeffs, shapes)
 
 

@@ -1,4 +1,5 @@
-"""Static checks on the package source: no unused import, and `__all__` equal to the imports.
+"""Static checks on the package source: no unused import, `__all__` equal to the imports,
+and an explicit encoding on every text file the package opens.
 
 There is no linter among the test dependencies, so these read the source with `ast`.
 """
@@ -54,3 +55,27 @@ def test_package_exports_exactly_what_it_imports():
     imported = set(_imported(tree))
     assert sorted(imported - set(exported)) == [], "imported but not in __all__"
     assert sorted(set(exported) - imported) == [], "in __all__ but not imported"
+
+
+def _opens_text(call: ast.Call) -> bool:
+    """True for `open(...)`, `x.read_text(...)` and `x.write_text(...)`; `os.open` is not one."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_file_is_opened_with_an_encoding(path):
+    calls = [node for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and _opens_text(node)]
+    missing = [f"line {c.lineno}" for c in calls
+               if not any(k.arg == "encoding" for k in c.keywords)]
+    assert not missing, f"{path.name}: open/read_text/write_text without encoding=: {missing}"
+
+
+def test_the_encoding_check_sees_each_call_form():
+    tree = ast.parse("open(p)\nopen(p, encoding='utf-8')\nP.read_text()\nP.write_text(t)\n"
+                     "os.open(p, 0)\n")
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _opens_text(n)]
+    assert [c.lineno for c in calls] == [1, 2, 3, 4]

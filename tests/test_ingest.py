@@ -1,6 +1,9 @@
 import csv
 import datetime as dt
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -607,3 +610,69 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path):
     assert a.start_date == b.start_date
     assert np.array_equal(a.day_ahead.values, b.day_ahead.values)
     assert np.array_equal(a.real_time.values, b.real_time.values)
+
+
+# -- encoding and dates ---------------------------------------------------------------
+
+
+_REWRITE_CODE = (
+    "import sys\n"
+    "from ratecraft.ingest import load_meter_csv, write_meter_csv\n"
+    "write_meter_csv(load_meter_csv(sys.argv[1]), sys.argv[2])\n"
+    "print(__import__('locale').getpreferredencoding(False))\n"
+)
+
+
+def test_non_ascii_ids_round_trip_under_the_posix_locale(tmp_path):
+    """The files are UTF-8 whatever the locale: a child under LC_ALL=POSIX reads and rewrites them."""
+    ids = ["nuét-00002", "ночь-1", "b"]
+    source, copy = tmp_path / "meter.csv", tmp_path / "copy.csv"
+    write_meter_csv([ConsumerSeries(cid, _series(START, 3, 1.5)) for cid in ids], source)
+    assert "nuét-00002".encode("utf-8") in source.read_bytes()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUTF8", None)
+    child = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", _REWRITE_CODE, str(source), str(copy)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip().lower() != "utf-8"  # the child's locale encoding is not UTF-8
+    assert copy.read_bytes() == source.read_bytes()
+    assert [c.consumer_id for c in load_meter_csv(copy)] == ids
+
+
+def test_files_that_are_not_utf8_are_named(tmp_path):
+    meter = tmp_path / "meter.csv"
+    meter.write_bytes(_meter_lines(["caf\xe9," + "2021-01-04," + _day_cells(1.0)]).encode("latin-1"))
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(_price_lines(["2021-01-04,DA," + _day_cells(1.0),
+                                     "2021-01-04,RT," + _day_cells(1.0)])
+                       .replace("#unit=", "#unit=\xb0").encode("latin-1"))
+    for load, path in ((load_meter_csv, meter), (_load_meter_bulk, meter),
+                       (_load_meter_rows, meter), (load_price_csv, prices)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+            load(path)
+
+
+_LOOSE_DATES = ["20210105", "2021-W01-2", "2021-01-5", "2021-01-05T00", "٢021-01-05"]
+
+
+@pytest.mark.parametrize("date", _LOOSE_DATES)
+def test_meter_dates_must_be_exactly_yyyy_mm_dd(tmp_path, date):
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(["a,2021-01-04," + _day_cells(1.0),
+                                  f"a,{date}," + _day_cells(1.0)]), encoding="utf-8")
+    message = f"{path}: bad date {date!r} at row 3"
+    for load in (load_meter_csv, _load_meter_bulk, _load_meter_rows):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load(path)
+
+
+@pytest.mark.parametrize("date", _LOOSE_DATES)
+def test_price_dates_must_be_exactly_yyyy_mm_dd(tmp_path, date):
+    path = tmp_path / "prices.csv"
+    path.write_text(_price_lines([f"{date},DA," + _day_cells(1.0),
+                                  "2021-01-05,RT," + _day_cells(1.0)]), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: bad date {date!r} at row 3')}$"):
+        load_price_csv(path)

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -38,12 +39,12 @@ def test_hourly_matrix_rejects_negative():
 
 
 def test_hourly_matrix_rejects_wrong_columns():
-    with pytest.raises(ValueError, match="matrix"):
+    with pytest.raises(ValueError, match=r"^values must have shape \(days, 24\).*, got \(2, 23\)$"):
         HourlyMatrix(np.ones((2, 23)), START)
 
 
 def test_hourly_matrix_rejects_empty():
-    with pytest.raises(ValueError, match="at least one day"):
+    with pytest.raises(ValueError, match=r"^values must have shape \(days, 24\).*, got \(0, 24\)$"):
         HourlyMatrix(np.ones((0, 24)), START)
 
 
@@ -362,7 +363,7 @@ def test_cost_stats_validation():
         CostStats(t=[1.0], w=[0.0])
     with pytest.raises(ValueError, match="nonnegative"):
         CostStats(t=[-1.0], w=[1.0])
-    with pytest.raises(ValueError, match="equal length"):
+    with pytest.raises(ValueError, match=r"^w must have shape \(2,\), got \(1,\)$"):
         CostStats(t=[1.0, 2.0], w=[1.0])
 
 
@@ -429,6 +430,61 @@ def test_value_types_store_arrays_by_one_rule(kind):
         if scalar is not None:
             with pytest.raises(ValueError, match=f"^{scalar} must be finite$"):
                 build(**{scalar: bad}, **fields)
+
+
+# Each value type of _VALUE_TYPES: a wrongly shaped array for each field with the shape its
+# error names, and the message that refuses a negative entry in each unsigned field.
+_MALFORMED = {
+    "HourlyMatrix": ({"values": (np.ones((0, 24)), "(days, 24) with days >= 1")},
+                     {"values": "values must be nonnegative"}),
+    "CostStats": ({"t": (np.ones((3, 1)), "(consumers,) with consumers >= 1"),
+                   "w": (np.full(2, 2.0), "(3,)")},
+                  {"t": "t must be nonnegative",
+                   "w": "every consumer must have positive total usage w"}),
+    "ForecastErrorModel": ({"sigma": (np.ones(23), "(24,)")},
+                           {"sigma": "sigma must be nonnegative"}),
+    "GroupForecaster": ({"coeffs": (np.zeros((7, 1)), "(order,) with order >= 1"),
+                         "shapes": (_UNIFORM_SHAPES[:6], "(7, 24)")},
+                        {"shapes": "shapes must be nonnegative"}),
+    "PurchasePlan": ({"adjustment": (np.zeros(3), "(24,)"), "purchase": (np.ones(25), "(24,)")},
+                     {"purchase": "purchase must be nonnegative"}),
+    "DailySettlement": ({"purchased": (np.ones(2), "(24,)"),
+                         "consumed": (np.ones((3, 4)), "(24,)")},
+                        {"purchased": "purchased must be nonnegative",
+                         "consumed": "consumed must be nonnegative"}),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALUE_TYPES))
+def test_value_types_check_shape_and_sign_by_one_rule(kind):
+    build, fields, _ = _VALUE_TYPES[kind]
+    wrong_shapes, unsigned = _MALFORMED[kind]
+    assert set(wrong_shapes) == set(fields) and set(unsigned) <= set(fields)
+
+    for name, (arr, shape) in wrong_shapes.items():
+        message = f"{name} must have shape {shape}, got {arr.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(**{**fields, name: arr})
+
+    # one negative entry is refused in an unsigned field and kept in a signed one
+    for name, arr in fields.items():
+        negative = arr.copy()
+        negative.flat[0] = -negative.flat[0] - 0.5
+        if name in unsigned:
+            with pytest.raises(ValueError, match=f"^{unsigned[name]}$"):
+                build(**{**fields, name: negative})
+        else:
+            assert getattr(build(**{**fields, name: negative}), name)[0] == negative[0]
+
+
+def test_malformed_purchase_plan_and_settlement_are_refused():
+    with pytest.raises(ValueError, match=r"^adjustment must have shape \(24,\), got \(3,\)$"):
+        PurchasePlan(np.zeros(3), np.ones(24))
+    with pytest.raises(ValueError, match="^day_index must be nonnegative$"):
+        DailySettlement(-5, np.ones(2), np.ones((3, 4)), 1.0)
+    with pytest.raises(ValueError, match="^day_index must be nonnegative$"):
+        DailySettlement(-1, np.ones(24), np.ones(24), 1.0)
+    assert DailySettlement(0, np.ones(24), np.ones(24), 1.0).day_index == 0
 
 
 def test_types_are_frozen():
