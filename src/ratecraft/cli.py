@@ -146,13 +146,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path) -> dict:
-    """The config file's values by parameter name, converted as their flags would be."""
+    """The config file's values by parameter name, converted as their flags would be.
+
+    The file is UTF-8 JSON, past one leading byte-order mark; every error names it.
+    """
     if path is None:
         return {}
-    with _decoded(path), open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    with _decoded(path), open(path, encoding="utf-8-sig") as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"{path}: config file must hold a JSON object")
     params = {p.name: p for p in _PARAMS}
     for key, value in cfg.items():
         if key not in params:
@@ -462,7 +468,7 @@ def main(argv=None) -> int:
     _, execute = _COMMANDS[args.command]
     try:
         params = _resolve(args.command, args, _load_config(args.config))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

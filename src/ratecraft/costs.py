@@ -103,11 +103,13 @@ def realized_cost(
 
     two_sided:  p.purchased + q.(consumed - purchased)
     one_sided:  p.purchased + q.max(consumed - purchased, 0)
+
+    The four vectors are finite, nonnegative and of one length.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    tilde = np.asarray(purchased, dtype=np.float64)
-    d = np.asarray(consumed, dtype=np.float64)
+    p = _readonly(p, "p", ("hours",))
+    q = _readonly(q, "q", ("hours",))
+    tilde = _readonly(purchased, "purchased", ("hours",))
+    d = _readonly(consumed, "consumed", ("hours",))
     if not (p.shape == q.shape == tilde.shape == d.shape):
         raise ValueError("price and quantity vectors must have equal shapes")
     gap = d - tilde
@@ -119,9 +121,12 @@ def realized_cost(
 
 
 def realized_rate(costs: Sequence[float], demands: Sequence[float]) -> float:
-    """Average per-unit cost over a run of days: sum(costs) / sum(kWh)."""
-    costs = np.asarray(costs, dtype=np.float64)
-    demands = np.asarray(demands, dtype=np.float64)
+    """Average per-unit cost over a run of days: sum(costs) / sum(kWh).
+
+    Both are finite vectors of one length; the costs may be negative, the kWh may not.
+    """
+    costs = _readonly(costs, "costs", ("days",), nonnegative=False)
+    demands = _readonly(demands, "demands", ("days",))
     if costs.shape != demands.shape:
         raise ValueError("costs and demands must have equal length")
     total = float(demands.sum())

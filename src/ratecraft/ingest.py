@@ -10,11 +10,13 @@ quote or a line break, so that it is always one plain CSV field.
 Files are UTF-8, and one that does not decode is refused with its path.
 Written header and data lines end in CRLF, the price file's ``#unit=`` line
 in LF. LF and CRLF line ends are both read, and one leading UTF-8 byte-order
-mark is skipped. The meter file is read in bulk (ids and dates in one pass
-over its lines, the values by ``np.loadtxt``); a file that pass rejects is
-parsed again row by row, only to name the row or consumer at fault. The bulk
-reader's value block, grouped by consumer, is marked read-only and becomes
-the dataset's usage: each consumer's matrix is a view of its rows, and
+mark is skipped. The meter file is read in one vectorized pass over its
+bytes, in chunks of whole lines. Readings in the writer's form (digits, '.',
+4 digits) are decoded exactly by digit arithmetic; the lines with other
+readings go through ``np.loadtxt``. A file that pass rejects is parsed again
+row by row, only to name the row or consumer at fault. The bulk reader's
+value block, grouped by consumer, is marked read-only and becomes the
+dataset's usage: each consumer's matrix is a view of its rows, and
 `Dataset.usage_stack` returns the block itself, so the usage is held once.
 `synth_population` builds its usage the same way.
 
@@ -29,17 +31,18 @@ Timezone/DST handling is out of scope: every day must already have exactly
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import math
 import os
 import re
 import secrets
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .types import HOURS, ConsumerSeries, Dataset, HourlyMatrix, PriceSeries
 
@@ -53,6 +56,25 @@ _ROW = "%s,%s," + ",".join(["%.4f"] * HOURS) + "\r\n"
 _UNIT_SCALE = {"cents_per_kwh": 1.0, "usd_per_mwh": 0.1}
 # The one date form: date.fromisoformat also takes "20210105" from Python 3.11 on.
 _DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+
+# The bulk meter reader takes the file in chunks of whole lines of about this many bytes.
+# Larger chunks raise the peak RSS by their temporaries; smaller ones pay numpy's fixed
+# cost per call more often.
+_CHUNK = 1 << 19
+# A line's id comma, date and date comma must lie in its first _HEAD bytes for the bulk
+# reader to place them, so it takes ids of up to _HEAD - 12 bytes.
+_HEAD = 64
+# Where a date's 8 digits lie in YYYY-MM-DD, and their place values in its key YYYYMMDD.
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
+_DATE_PLACES = 10 ** np.arange(7, -1, -1, dtype=np.int64)
+# The writer's form of a line's 24 readings, by integer width w: w digits, '.', 4 digits,
+# then a comma, or the line end after the last. Subtracting `form` from a line's bytes
+# leaves each byte below its `limit` exactly when the line is in that form.
+_READING_FORMS = {
+    w: (np.tile(np.frombuffer(b"0" * w + b".0000,", np.uint8), HOURS),
+        np.tile(np.array([10] * w + [1] + [10] * 4 + [1], np.uint8), HOURS)[:-1])
+    for w in range(1, 9)
+}
 
 # Default chronological split: three quarters of the days are history.
 DEFAULT_TRAIN_SPLIT = 0.75
@@ -172,44 +194,48 @@ def load_meter_csv(path) -> list[ConsumerSeries]:
 
 
 def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
-    """The meter file in two passes: ids and dates line by line, then the values by np.loadtxt.
+    """The meter file in one pass over its bytes, a chunk of whole lines at a time.
 
     Raises ValueError on anything the row parser might read differently or
-    refuse, without naming the row: unquoted lines only, 26 fields each.
-    `HourlyMatrix` refuses a non-finite or negative reading.
+    refuse, naming the row only for a date that is not YYYY-MM-DD: see
+    `_meter_chunk`. `HourlyMatrix` refuses a non-finite or negative reading.
     """
     index: dict[str, int] = {}  # consumer id -> consumer number, in first-appearance order
-    ordinal_of: dict[str, int] = {}  # date text -> date ordinal
-    consumer_of_row, ordinal_of_row = array("q"), array("q")  # packed int64, viewed below uncopied
-    with _open_text(path) as fh:
-        if fh.readline().rstrip("\r\n") != _METER_HEADER_LINE:
+    ordinal_of: dict[int, int] = {}  # date key YYYYMMDD -> date ordinal
+    # Rows [0, rows) of the file so far: readings, consumer numbers and date ordinals. Each
+    # array is grown, rarely, to the rows the file holds at the bytes per row read so far.
+    values = np.empty((0, HOURS))
+    consumer, ordinal = np.empty(0, np.int32), np.empty(0, np.int32)
+    rows, lineno = 0, 2
+    with open(path, "rb") as fh:
+        header = fh.readline().removeprefix(codecs.BOM_UTF8).rstrip(b"\r\n")
+        if header != _METER_HEADER_LINE.encode():
             raise ValueError("not the meter header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            if line.count(",") != HOURS + 1:
-                raise ValueError("wrong column count")
-            cid, date, _ = line.split(",", 2)
-            i = index.get(cid)
-            if i is None:
-                _check_consumer_id(cid, lineno, path)
-                i = index[cid] = len(index)
-            day = ordinal_of.get(date)
-            if day is None:
-                day = ordinal_of[date] = _parse_date(date, lineno, path).toordinal()
-            consumer_of_row.append(i)
-            ordinal_of_row.append(day)
-        if not consumer_of_row:
-            raise ValueError("no meter rows")
-        fh.seek(0)
-        values = np.loadtxt(fh, delimiter=",", skiprows=1, usecols=range(2, 2 + HOURS),
-                            comments=None, ndmin=2)
-    if values.shape != (len(consumer_of_row), HOURS):
-        raise ValueError("row count differs between passes")
+        size = os.fstat(fh.fileno()).st_size
+        for buf in _line_chunks(fh):
+            n_lines, line, ids, run_lengths, keys, chunk = _meter_chunk(buf, lineno, path)
+            distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            for key, r in zip(distinct.tolist(), first.tolist()):
+                if key not in ordinal_of:
+                    text = f"{key // 10**4:04d}-{key // 100 % 100:02d}-{key % 100:02d}"
+                    ordinal_of[key] = _parse_date(text, lineno + int(line[r]), path).toordinal()
+            need = rows + len(keys)
+            if need > len(values):
+                done = fh.tell()
+                capacity = need * max(size, done) // done * 21 // 20 + len(keys)
+                values, consumer, ordinal = (_grown(x, rows, capacity)
+                                             for x in (values, consumer, ordinal))
+            values[rows:need] = chunk
+            consumer[rows:need] = np.repeat([index.setdefault(cid, len(index)) for cid in ids],
+                                            run_lengths)
+            ordinal[rows:need] = np.array([ordinal_of[k] for k in distinct.tolist()])[inverse]
+            rows = need
+            lineno += n_lines
+    if not rows:
+        raise ValueError("no meter rows")
+    values.resize((rows, HOURS), refcheck=False)  # trimmed in place: no view of it exists yet
+    consumer, ordinal = consumer[:rows], ordinal[:rows]
 
-    consumer = np.frombuffer(consumer_of_row, dtype=np.int64)
-    ordinal = np.frombuffer(ordinal_of_row, dtype=np.int64)
     if (np.diff(consumer) < 0).any():  # interleaved consumers: group rows, keeping file order
         order = np.argsort(consumer, kind="stable")
         consumer, ordinal, values = consumer[order], ordinal[order], values[order]
@@ -224,6 +250,121 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
         ConsumerSeries(cid, HourlyMatrix(values[a:b], dt.date.fromordinal(int(ordinal[a]))))
         for cid, a, b in zip(index, starts.tolist(), stops.tolist())
     ]
+
+
+def _grown(arr: np.ndarray, rows: int, capacity: int) -> np.ndarray:
+    """`arr` with room for `capacity` rows: its first `rows` copied, the rest not yet touched."""
+    grown = np.empty((capacity, *arr.shape[1:]), arr.dtype)
+    grown[:rows] = arr[:rows]
+    return grown
+
+
+def _line_chunks(fh):
+    """The rest of binary file `fh` as chunks of whole lines, each followed by _HEAD zero bytes.
+
+    A chunk holds about `_CHUNK` bytes of lines, or one longer line, and each
+    line ends in a line feed: an unended last line gets one. The zero bytes let
+    a line's first _HEAD bytes be read as one window wherever the line lies.
+    """
+    rest = b""
+    while data := fh.read(_CHUNK):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            chunk = b"".join((rest, memoryview(data)[:cut], bytes(_HEAD)))
+            rest = data[cut:]
+            del data  # one copy of the chunk's bytes is alive while it is parsed
+            yield chunk
+        else:
+            rest += data
+    if rest:
+        yield rest + b"\n" + bytes(_HEAD)
+
+
+def _meter_chunk(buf: bytes, lineno: int, path: str):
+    """Parse the meter lines of a `_line_chunks` chunk, file lines from `lineno` on.
+
+    Returns the number of lines; each nonblank line's offset from `lineno`; the
+    id of each run of those lines with equal id bytes, and the run's length;
+    and each nonblank line's date key YYYYMMDD and (24,) readings.
+
+    A line whose readings are all in the writer's form, w digits, '.' and 4
+    digits, is decoded by digit arithmetic: m / 10**4, for the integer m of its
+    digits, is the double nearest the decimal, as np.loadtxt reads it, since
+    m < 2**53 for w <= 8. np.loadtxt reads the other lines.
+
+    Raises ValueError on what the row parser might read differently or refuse:
+    a byte that is not UTF-8 (naming `path`), a quote, a carriage return inside
+    a line, an empty id or one of more than _HEAD - 12 bytes, a row without 26
+    fields, a date that is not YYYY-MM-DD (with the row parser's message), and
+    a reading np.loadtxt refuses.
+    """
+    a = np.frombuffer(buf, np.uint8)
+    if a.max() >= 0x80:
+        with _decoded(path):
+            buf.decode("utf-8")
+    ends = np.flatnonzero(a == 10)
+    cr = a[ends - 1] == 13
+    if (a == 34).any() or np.count_nonzero(a == 13) != np.count_nonzero(cr):
+        raise ValueError("a quote, or a carriage return inside a line")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    stops = ends - cr
+    line = np.flatnonzero(stops > starts)
+    starts, stops = starts[line], stops[line]
+
+    head = sliding_window_view(a, _HEAD)[starts]
+    comma = (head == 44).argmax(axis=1)  # the id comma; 0 if the head holds none
+    if not ((comma > 0) & (comma <= _HEAD - 12)).all():
+        raise ValueError("an empty consumer id, or one too long for the bulk reader")
+    date = sliding_window_view(a, 11)[starts + comma + 1]  # YYYY-MM-DD and a comma
+    digits = date[:, _DATE_DIGITS] - 48
+    plain = ((digits < 10).all(axis=1) & (date[:, [4, 7]] == 45).all(axis=1)
+             & (date[:, 10] == 44) & (comma + 11 < stops - starts))
+    if not plain.all():  # the first row whose date field is not exactly YYYY-MM-DD
+        r = int(np.argmin(plain))
+        fields = buf[starts[r]:stops[r]].decode("utf-8").split(",")
+        if len(fields) == len(METER_HEADER):
+            _parse_date(fields[1], lineno + int(line[r]), path)  # raises, naming the row
+        raise ValueError("wrong column count or date")
+    keys = digits.astype(np.int64) @ _DATE_PLACES
+
+    longest = comma.max(initial=0)  # 0 for a chunk of blank lines
+    id_bytes = head[:, :longest]
+    new_id = np.ones(len(starts), dtype=bool)
+    new_id[1:] = (comma[1:] != comma[:-1]) | ((id_bytes[1:] != id_bytes[:-1])
+                                              & (np.arange(longest) < comma[1:, None])).any(axis=1)
+    first = np.flatnonzero(new_id)
+    ids = [buf[s:s + n].decode("utf-8") for s, n in zip(starts[first].tolist(),
+                                                         comma[first].tolist())]
+    run_lengths = np.diff(np.append(first, len(starts)))
+
+    out = np.empty((len(starts), HOURS))
+    begin = starts + comma + 12  # the first reading
+    span = stops + 1 - begin  # 24 readings of w + 5 bytes, each with the byte after it
+    width = span // HOURS - 6
+    fast = (span % HOURS == 0) & (width >= 1) & (width <= max(_READING_FORMS))
+    for w in np.unique(width[fast]).tolist():
+        at = np.flatnonzero(fast & (width == w))
+        form, limit = _READING_FORMS[w]
+        rec = sliding_window_view(a, HOURS * (w + 6))[begin[at]]
+        rec -= form  # digits to 0-9, and the form's '.' and ',' to 0
+        ok = (rec[:, :-1] < limit).all(axis=1)  # the last byte ends the line
+        rec = rec.reshape(-1, HOURS, w + 6)
+        m = rec[:, :, 0].astype(np.float64)
+        for j in [*range(1, w), *range(w + 1, w + 5)]:  # exact: m is an integer below 10**12
+            m *= 10
+            m += rec[:, :, j]
+        m /= 10**4
+        out[at] = m  # rows not ok are read again below
+        fast[at[~ok]] = False
+    other = np.flatnonzero(~fast)
+    if other.size:
+        texts = [buf[s:e].decode("utf-8") for s, e in zip(starts[other].tolist(),
+                                                           stops[other].tolist())]
+        if any(text.count(",") != HOURS + 1 for text in texts):
+            raise ValueError("wrong column count")
+        out[other] = np.loadtxt(texts, delimiter=",", usecols=range(2, 2 + HOURS),
+                                comments=None, ndmin=2)
+    return len(ends), line, ids, run_lengths, keys, out
 
 
 def _load_meter_rows(path: str) -> list[ConsumerSeries]:

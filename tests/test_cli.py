@@ -355,6 +355,25 @@ def test_config_file_must_be_object(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.json"
+    cfg.write_bytes(b'\xef\xbb\xbf{"n": 3, "days": 5}')
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "consumers=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 3,', "Expecting property name enclosed in double quotes: line 1 column 9"),
+    ("", "Expecting value: line 1 column 1"),
+    ("[1, 2]", "config file must hold a JSON object"),
+], ids=["truncated", "empty", "array"])
+def test_config_file_errors_name_the_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {message}")
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("segment", {"cv-threshold": 1e-9}, "cv-threshold"),
     ("synth", {"n": 2.7}, "n"),

@@ -212,6 +212,30 @@ def test_one_sided_dominates_two_sided(data):
         assert one > two - 1e-9  # surplus hours are forfeited, never refunded
 
 
+@pytest.mark.parametrize("k, name", enumerate(["p", "q", "purchased", "consumed"]))
+def test_realized_cost_refuses_non_finite_and_negative_vectors(k, name):
+    for bad, rule in ((np.nan, "finite"), (np.inf, "finite"), (-1.0, "nonnegative")):
+        args = [np.ones(3) for _ in range(4)]
+        args[k] = np.array([1.0, bad, 1.0])
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}$"):
+            realized_cost(*args)
+    args = [np.ones(3) for _ in range(4)]
+    args[k] = np.ones((1, 3))
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \(hours,\) with hours >= 1"):
+        realized_cost(*args)
+
+
+def test_realized_rate_refuses_non_finite_values_and_negative_demand():
+    with pytest.raises(ValueError, match="^costs must be finite$"):
+        realized_rate([np.inf], [1.0])
+    with pytest.raises(ValueError, match="^demands must be finite$"):
+        realized_rate([1.0], [np.nan])
+    with pytest.raises(ValueError, match="^demands must be nonnegative$"):
+        realized_rate([1.0, 1.0], [2.0, -1.0])
+    # a day's cost is negative when two-sided settlement sells a large surplus back
+    assert realized_rate([-4.0, 10.0], [1.0, 2.0]) == pytest.approx(2.0)
+
+
 def test_realized_rate_basic():
     assert realized_rate([40.0, 20.0], [12.0, 8.0]) == pytest.approx(3.0)
     with pytest.raises(ValueError, match="zero total demand"):

@@ -57,7 +57,7 @@ def test_package_exports_exactly_what_it_imports():
     assert sorted(set(exported) - imported) == [], "in __all__ but not imported"
 
 
-def _opens_text(call: ast.Call) -> bool:
+def _opens_file(call: ast.Call) -> bool:
     """True for `open(...)`, `x.read_text(...)` and `x.write_text(...)`; `os.open` is not one."""
     func = call.func
     if isinstance(func, ast.Name):
@@ -65,17 +65,31 @@ def _opens_text(call: ast.Call) -> bool:
     return isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text")
 
 
+def _binary_mode(call: ast.Call) -> bool:
+    """True if the call's mode, positional or `mode=`, is a literal holding "b".
+
+    A binary open takes no encoding: Python raises if it is given one.
+    """
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str) and "b" in m.value
+               for m in modes)
+
+
+def _lacks_encoding(call: ast.Call) -> bool:
+    return not _binary_mode(call) and not any(k.arg == "encoding" for k in call.keywords)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_file_is_opened_with_an_encoding(path):
     calls = [node for node in ast.walk(_tree(path))
-             if isinstance(node, ast.Call) and _opens_text(node)]
-    missing = [f"line {c.lineno}" for c in calls
-               if not any(k.arg == "encoding" for k in c.keywords)]
+             if isinstance(node, ast.Call) and _opens_file(node)]
+    missing = [f"line {c.lineno}" for c in calls if _lacks_encoding(c)]
     assert not missing, f"{path.name}: open/read_text/write_text without encoding=: {missing}"
 
 
 def test_the_encoding_check_sees_each_call_form():
     tree = ast.parse("open(p)\nopen(p, encoding='utf-8')\nP.read_text()\nP.write_text(t)\n"
-                     "os.open(p, 0)\n")
-    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _opens_text(n)]
-    assert [c.lineno for c in calls] == [1, 2, 3, 4]
+                     "os.open(p, 0)\nopen(p, 'rb')\nopen(p, 'r')\nopen(p, mode='wb')\n")
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _opens_file(n)]
+    assert [c.lineno for c in calls] == [1, 2, 3, 4, 6, 7, 8]
+    assert [c.lineno for c in calls if _lacks_encoding(c)] == [1, 3, 4, 7]

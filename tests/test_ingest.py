@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ratecraft import ingest
 from ratecraft.costs import consumer_stats
 from ratecraft.ingest import (
     METER_HEADER,
@@ -537,6 +539,14 @@ def test_bulk_meter_reader_takes_well_formed_files(tmp_path):
         assert [c.consumer_id for c in _load_meter_bulk(path)] == ["#c", "b"]
 
 
+def test_bulk_meter_reader_takes_chunks_that_hold_only_blank_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK", 4)
+    rows = ["a,2021-01-04," + _day_cells(1.0)] + [""] * 9 + ["a,2021-01-05," + _day_cells(2.0)]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows) + "\n" * 9, encoding="utf-8")
+    assert _loaded(_load_meter_bulk, path) == _loaded(_load_meter_rows, path)
+
+
 def test_bulk_meter_reader_keeps_file_order_within_each_consumer(tmp_path):
     """Round-robin rows of many consumers: grouping them must be a stable sort."""
     rows = [f"c{i:02d},{(START + dt.timedelta(days=d)).isoformat()}," + _day_cells(1 + d + i / 100)
@@ -549,10 +559,22 @@ def test_bulk_meter_reader_keeps_file_order_within_each_consumer(tmp_path):
 
 
 _HEADERS = [",".join(METER_HEADER)] * 6 + ['"consumer_id",' + ",".join(METER_HEADER[1:])]
-_IDS = ["a", "b", "#c", "x y"]
+# The bulk reader places ids of up to 52 bytes: "é" * 26 is the longest, "i" * 53 too long.
+_IDS = ["a", "b", "#c", "x y", "ночь-1", "é" * 26, "i" * 53]
 _ODD_IDS = ['"a"', '"p,q"']
 _DATES = ['"2021-01-05"', "2021-13-01", "20210105", ""]
-_CELLS = ["1_0", "\u0661", " 1.0", "nan", "Infinity", "-0", "-1.5", '"2.5"', "", "1e-400"]
+_CELLS = ["1_0", "\u0661", " 1.0", "nan", "Infinity", "-0", "-1.5", '"2.5"', "", "1e-400",
+          "1.5", "1e-3", " 2.0", "12345678.0000", "123456789.0000", "007.5000"]
+
+
+def _reading(m):
+    """The writer's text of m / 10**4: the integer part, '.', then 4 digits."""
+    return f"{m // 10**4}.{m % 10**4:04d}"
+
+
+def _widths(width):
+    """The m whose reading has `width` integer digits."""
+    return (0 if width == 1 else 10 ** (width + 3), 10 ** (width + 4) - 1)
 
 
 @st.composite
@@ -571,8 +593,11 @@ def _meter_texts(draw):
             date = (START + dt.timedelta(days=offset)).isoformat()
             if draw(st.integers(0, 19)) == 0:
                 date = draw(st.sampled_from(_DATES))
-            level = draw(st.integers(0, 30000)) / 1e4
-            cells = [f"{level + h / 1e4:.4f}" for h in range(24)]
+            low, high = _widths(draw(st.integers(1, 9)))
+            level = draw(st.integers(low, high - 23))
+            cells = [_reading(level + h) for h in range(24)]
+            if draw(st.integers(0, 4)) == 0:  # a line that mixes widths
+                cells[draw(st.integers(0, 23))] = _reading(draw(st.integers(0, 10**13 - 1)))
             if draw(st.integers(0, 9)) == 0:
                 cells[draw(st.integers(0, 23))] = draw(st.sampled_from(_CELLS))
             width = draw(st.sampled_from([24] * 38 + [23, 25]))  # 26 fields, or 25 or 27
@@ -592,6 +617,102 @@ def test_meter_loader_equals_row_parser(tmp_path, text):
     path = tmp_path / "meter.csv"
     path.write_text(text, newline="")
     assert _loaded(load_meter_csv, path) == _loaded(_load_meter_rows, path)
+
+
+@st.composite
+def _written_files(draw):
+    """Consumers as `write_meter_csv` takes them, and a chunk size for the bulk reader."""
+    ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters=',"\r\n\x00'),
+                                min_size=1, max_size=30), min_size=1, max_size=4, unique=True))
+    days = draw(st.integers(1, 4))
+    consumers = []
+    for cid in ids:
+        low, high = _widths(draw(st.integers(1, 9)))
+        m = np.array(draw(st.lists(st.integers(low, high), min_size=days * 24,
+                                   max_size=days * 24)), dtype=np.int64)
+        if draw(st.booleans()):  # a line that mixes widths
+            m[draw(st.integers(0, m.size - 1))] = draw(st.integers(0, 10**13 - 1))
+        values = (m / 10**4).reshape(days, 24)
+        if draw(st.booleans()):  # written as -0.0000
+            values[0, draw(st.integers(0, 23))] = -0.0
+        if not values.any():
+            values[-1, -1] = 1.0
+        start = START + dt.timedelta(days=draw(st.integers(-800, 800)))
+        consumers.append(ConsumerSeries(cid, HourlyMatrix(values, start)))
+    return consumers, draw(st.sampled_from([1, 7, 300, 1 << 19]))
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                   HealthCheck.too_slow])
+@given(case=_written_files())
+def test_bulk_reader_equals_row_parser_on_every_written_file(tmp_path, case):
+    """No fallback: every file the writer writes is read by the bulk reader itself."""
+    consumers, chunk = case
+    path = tmp_path / "meter.csv"
+    write_meter_csv(consumers, path)
+    expected = _loaded(_load_meter_rows, path)
+    assert expected == [(c.consumer_id, c.usage.start_date, c.usage.values.tobytes())
+                        for c in consumers]
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        if max(len(c.consumer_id.encode("utf-8")) for c in consumers) <= 52:
+            assert _loaded(_load_meter_bulk, path) == expected
+        else:
+            with pytest.raises(ValueError, match="too long for the bulk reader"):
+                _load_meter_bulk(str(path))
+            assert _loaded(load_meter_csv, path) == expected
+
+
+def test_bulk_reader_splits_prefix_ids_and_outgrows_its_row_estimate(tmp_path, monkeypatch):
+    """An id that is a prefix of the one before starts a new run; and lines that shorten after
+    the first chunk hold more rows than the reader first estimates from that chunk."""
+    monkeypatch.setattr(ingest, "_CHUNK", 1000)
+    consumers = [ConsumerSeries("l" * 52, _series(START, 3, 12345678.0625))]
+    consumers += [ConsumerSeries(cid, _series(START, 50, k + 0.5))
+                  for k, cid in enumerate(["ab", "a", "abc"])]
+    path = tmp_path / "meter.csv"
+    write_meter_csv(consumers, path)
+    expected = [(c.consumer_id, START, c.usage.values.tobytes()) for c in consumers]
+    assert _loaded(_load_meter_bulk, path) == expected == _loaded(_load_meter_rows, path)
+
+
+def test_four_decimals_are_m_over_ten_thousand_for_every_m_below_a_million():
+    """The bulk reader's arithmetic, m / 10**4, gives the double float() reads from the text."""
+    m = np.arange(10**6)
+    assert (m / 10**4).tobytes() == np.array([float(_reading(k)) for k in range(10**6)]).tobytes()
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3), st.data()),
+                      min_size=1, max_size=6))
+def test_bulk_reader_decodes_readings_to_the_double_float_reads(tmp_path, lines):
+    """Lines of one integer width w <= 8 each, so m < 10**12, some with leading zeros."""
+    texts = []
+    for width, zeros, data in lines:
+        low, high = _widths(width)
+        ms = data.draw(st.lists(st.integers(low, high), min_size=24, max_size=24))
+        texts.append(["0" * zeros + _reading(m) for m in ms])
+    rows = [f"a,{(START + dt.timedelta(days=d)).isoformat()}," + ",".join(cells)
+            for d, cells in enumerate(texts)]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows), encoding="utf-8")
+    expected = np.array([[float(t) for t in cells] for cells in texts])
+    if expected.any():
+        (consumer,) = _load_meter_bulk(str(path))
+        assert consumer.usage.values.tobytes() == expected.tobytes()
+
+
+def test_bulk_reader_checks_utf8_in_every_chunk(tmp_path, monkeypatch):
+    """A bad byte lines past the first chunk is named; good non-ASCII ids before it are not."""
+    monkeypatch.setattr(ingest, "_CHUNK", 300)
+    rows = [f"ночь-{i},2021-01-04," + _day_cells(1.0) for i in range(8)]
+    path = tmp_path / "meter.csv"
+    path.write_bytes(_meter_lines(rows).encode("utf-8")
+                     + ("caf\xe9,2021-01-04," + _day_cells(1.0) + "\n").encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+        _load_meter_bulk(str(path))
+    path.write_text(_meter_lines(rows), encoding="utf-8")
+    assert [c.consumer_id for c in _load_meter_bulk(str(path))] == [f"ночь-{i}" for i in range(8)]
 
 
 def test_utf8_byte_order_mark_is_skipped(tmp_path):
