@@ -7,17 +7,21 @@ dates ``YYYY-MM-DD`` and consecutive per consumer, values in kWh written with
 exactly 4 fractional digits. A consumer id may not hold a comma, a double
 quote or a line break, so that it is always one plain CSV field.
 
+One rule holds for a reading in a meter or a price file: its text is one
+``np.loadtxt`` takes, and its value is finite and nonnegative. A double
+quote anywhere in a row is refused; no field is ever quoted.
+
 Files are UTF-8, and one that does not decode is refused with its path.
 Written header and data lines end in CRLF, the price file's ``#unit=`` line
 in LF. LF and CRLF line ends are both read, and one leading UTF-8 byte-order
-mark is skipped. The meter file is read in one vectorized pass over its
-bytes, in chunks of whole lines. Readings in the writer's form (digits, '.',
-4 digits) are decoded exactly by digit arithmetic; the lines with other
-readings go through ``np.loadtxt``. A file that pass rejects is parsed again
-row by row, only to name the row or consumer at fault. The bulk reader's
-value block, grouped by consumer, is marked read-only and becomes the
-dataset's usage: each consumer's matrix is a view of its rows, and
-`Dataset.usage_stack` returns the block itself, so the usage is held once.
+mark is skipped. The meter file is read by one reader, in one vectorized
+pass over its bytes, in chunks of whole lines. Readings in the writer's form
+(digits, '.', 4 digits) are decoded exactly by digit arithmetic; the lines
+with other readings go through ``np.loadtxt``. The reader names every fault
+itself: a malformed row by the path and its file row, a date break by its
+consumer. Its value block, grouped by consumer, is marked read-only and
+becomes the dataset's usage: each consumer's matrix is a view of its rows,
+and `Dataset.usage_stack` returns the block itself, so the usage is held once.
 `synth_population` builds its usage the same way.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
@@ -32,7 +36,6 @@ Timezone/DST handling is out of scope: every day must already have exactly
 from __future__ import annotations
 
 import codecs
-import csv
 import datetime as dt
 import math
 import os
@@ -57,13 +60,13 @@ _UNIT_SCALE = {"cents_per_kwh": 1.0, "usd_per_mwh": 0.1}
 # The one date form: date.fromisoformat also takes "20210105" from Python 3.11 on.
 _DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
 
-# The bulk meter reader takes the file in chunks of whole lines of about this many bytes.
+# The meter reader takes the file in chunks of whole lines of about this many bytes.
 # Larger chunks raise the peak RSS by their temporaries; smaller ones pay numpy's fixed
 # cost per call more often.
 _CHUNK = 1 << 19
-# A line's id comma, date and date comma must lie in its first _HEAD bytes for the bulk
-# reader to place them, so it takes ids of up to _HEAD - 12 bytes.
-_HEAD = 64
+# The meter reader looks for a line's id comma in its first _HEAD bytes, and compares ids
+# shorter than that there; a longer id is found by bytes.find and not compared.
+_HEAD = 16
 # Where a date's 8 digits lie in YYYY-MM-DD, and their place values in its key YYYYMMDD.
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 _DATE_PLACES = 10 ** np.arange(7, -1, -1, dtype=np.int64)
@@ -144,9 +147,20 @@ def _parse_date(text: str, lineno: int, path: str) -> dt.date:
     raise ValueError(f"{path}: bad date {text!r} at row {lineno}")
 
 
-def _parse_hours(cells: list[str], lineno: int, path: str) -> np.ndarray:
+def _readings(lines: list[str]) -> np.ndarray:
+    """Fields 2-25 of `lines` as (lines, 24) readings: a reading is the text np.loadtxt takes.
+
+    Raises ValueError if a line has not 26 fields or np.loadtxt refuses a reading.
+    """
+    if any(line.count(",") != HOURS + 1 for line in lines):
+        raise ValueError("a line without 26 fields")
+    return np.loadtxt(lines, delimiter=",", usecols=range(2, 2 + HOURS), comments=None, ndmin=2)
+
+
+def _parse_hours(line: str, lineno: int, path: str) -> np.ndarray:
+    """The 24 readings of 26-field row `line` by the one rule for a reading."""
     try:
-        values = np.array([float(c) for c in cells], dtype=np.float64)
+        (values,) = _readings([line])
     except ValueError:
         raise ValueError(f"{path}: non-numeric reading at row {lineno}") from None
     if not np.isfinite(values).all():
@@ -161,11 +175,21 @@ def _breaks_csv(cid: str) -> bool:
     return any(c in cid for c in ',"\r\n')
 
 
-def _check_consumer_id(cid: str, lineno: int, path: str):
-    """Refuse an id the CLI could not write back as one plain CSV field."""
-    if _breaks_csv(cid):
-        raise ValueError(f"{path}: consumer id {cid!r} at row {lineno} contains a comma, "
-                         "quote or line break")
+def _check_meter_row(text: str, lineno: int, path: str):
+    """Raise the first fault of meter row `text`, checked in this order: a double quote or a
+    carriage return, the field count, an empty id, the date, then the readings."""
+    fields = text.split(",")
+    if '"' in text or "\r" in text:
+        if _breaks_csv(fields[0]):
+            raise ValueError(f"{path}: consumer id {fields[0]!r} at row {lineno} contains a comma, "
+                             "quote or line break")
+        raise ValueError(f"{path}: double quote or carriage return at row {lineno}")
+    if len(fields) != len(METER_HEADER):
+        raise ValueError(f"{path}: wrong column count at row {lineno}")
+    if not fields[0]:
+        raise ValueError(f"{path}: empty consumer id at row {lineno}")
+    _parse_date(fields[1], lineno, path)
+    _parse_hours(text, lineno, path)
 
 
 def _check_consecutive(dates: list[dt.date], label: str):
@@ -183,25 +207,15 @@ def load_meter_csv(path) -> list[ConsumerSeries]:
     """Load one ConsumerSeries per distinct consumer_id from a meter CSV.
 
     Consumers come in order of first appearance, each with its rows in file
-    order. A file the bulk reader refuses is parsed again row by row, which
-    raises the error that names the row or consumer at fault.
+    order. The file is read in one pass over its bytes, a chunk of whole lines
+    at a time, by the one meter reader, which names every fault itself: the
+    first malformed row by the path and its file row (see `_meter_chunk`),
+    then the first date break, in the first consumer to appear in the file
+    that has one, as ``consumer <id>: ...``.
     """
     path = str(path)
-    try:
-        return _load_meter_bulk(path)
-    except ValueError:
-        return _load_meter_rows(path)
-
-
-def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
-    """The meter file in one pass over its bytes, a chunk of whole lines at a time.
-
-    Raises ValueError on anything the row parser might read differently or
-    refuse, naming the row only for a date that is not YYYY-MM-DD: see
-    `_meter_chunk`. `HourlyMatrix` refuses a non-finite or negative reading.
-    """
     index: dict[str, int] = {}  # consumer id -> consumer number, in first-appearance order
-    ordinal_of: dict[int, int] = {}  # date key YYYYMMDD -> date ordinal
+    ordinal_of: dict[int, int] = {}  # date key YYYYMMDD -> date ordinal, 0 for no such date
     # Rows [0, rows) of the file so far: readings, consumer numbers and date ordinals. Each
     # array is grown, rarely, to the rows the file holds at the bytes per row read so far.
     values = np.empty((0, HOURS))
@@ -210,29 +224,24 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
     with open(path, "rb") as fh:
         header = fh.readline().removeprefix(codecs.BOM_UTF8).rstrip(b"\r\n")
         if header != _METER_HEADER_LINE.encode():
-            raise ValueError("not the meter header")
+            raise ValueError(f"{path}: expected meter header {','.join(METER_HEADER[:3])},...")
         size = os.fstat(fh.fileno()).st_size
         for buf in _line_chunks(fh):
-            n_lines, line, ids, run_lengths, keys, chunk = _meter_chunk(buf, lineno, path)
-            distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            for key, r in zip(distinct.tolist(), first.tolist()):
-                if key not in ordinal_of:
-                    text = f"{key // 10**4:04d}-{key // 100 % 100:02d}-{key % 100:02d}"
-                    ordinal_of[key] = _parse_date(text, lineno + int(line[r]), path).toordinal()
-            need = rows + len(keys)
+            n_lines, ids, run_lengths, ordinals, chunk = _meter_chunk(buf, lineno, path, ordinal_of)
+            need = rows + len(chunk)
             if need > len(values):
                 done = fh.tell()
-                capacity = need * max(size, done) // done * 21 // 20 + len(keys)
+                capacity = need * max(size, done) // done * 21 // 20 + len(chunk)
                 values, consumer, ordinal = (_grown(x, rows, capacity)
                                              for x in (values, consumer, ordinal))
             values[rows:need] = chunk
             consumer[rows:need] = np.repeat([index.setdefault(cid, len(index)) for cid in ids],
                                             run_lengths)
-            ordinal[rows:need] = np.array([ordinal_of[k] for k in distinct.tolist()])[inverse]
+            ordinal[rows:need] = ordinals
             rows = need
             lineno += n_lines
     if not rows:
-        raise ValueError("no meter rows")
+        raise ValueError(f"{path}: no meter rows")
     values.resize((rows, HOURS), refcheck=False)  # trimmed in place: no view of it exists yet
     consumer, ordinal = consumer[:rows], ordinal[:rows]
 
@@ -240,9 +249,11 @@ def _load_meter_bulk(path: str) -> list[ConsumerSeries]:
         order = np.argsort(consumer, kind="stable")
         consumer, ordinal, values = consumer[order], ordinal[order], values[order]
     values.setflags(write=False)  # the consumers' matrices are views of this one block
-    same_consumer = consumer[1:] == consumer[:-1]
-    if (np.diff(ordinal)[same_consumer] != 1).any():
-        raise ValueError("dates not consecutive")
+    breaks = np.flatnonzero((np.diff(ordinal) != 1) & (consumer[1:] == consumer[:-1]))
+    if breaks.size:  # the first consumer in file order with a break, at its first bad row
+        r = breaks[0]
+        _check_consecutive([dt.date.fromordinal(d) for d in ordinal[r:r + 2].tolist()],
+                           f"consumer {list(index)[consumer[r]]}")
     counts = np.bincount(consumer)
     stops = np.cumsum(counts)
     starts = stops - counts
@@ -260,43 +271,44 @@ def _grown(arr: np.ndarray, rows: int, capacity: int) -> np.ndarray:
 
 
 def _line_chunks(fh):
-    """The rest of binary file `fh` as chunks of whole lines, each followed by _HEAD zero bytes.
+    """The rest of binary file `fh` as chunks of whole lines, each followed by _HEAD commas.
 
     A chunk holds about `_CHUNK` bytes of lines, or one longer line, and each
-    line ends in a line feed: an unended last line gets one. The zero bytes let
-    a line's first _HEAD bytes be read as one window wherever the line lies.
+    line ends in a line feed: an unended last line gets one. The commas let a
+    line's first _HEAD bytes be read as one window wherever the line lies, and
+    give every line a comma at or after its start, with 11 bytes after it.
     """
     rest = b""
     while data := fh.read(_CHUNK):
         cut = data.rfind(b"\n") + 1
         if cut:
-            chunk = b"".join((rest, memoryview(data)[:cut], bytes(_HEAD)))
+            chunk = b"".join((rest, memoryview(data)[:cut], b"," * _HEAD))
             rest = data[cut:]
             del data  # one copy of the chunk's bytes is alive while it is parsed
             yield chunk
         else:
             rest += data
     if rest:
-        yield rest + b"\n" + bytes(_HEAD)
+        yield rest + b"\n" + b"," * _HEAD
 
 
-def _meter_chunk(buf: bytes, lineno: int, path: str):
+def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int]):
     """Parse the meter lines of a `_line_chunks` chunk, file lines from `lineno` on.
 
-    Returns the number of lines; each nonblank line's offset from `lineno`; the
-    id of each run of those lines with equal id bytes, and the run's length;
-    and each nonblank line's date key YYYYMMDD and (24,) readings.
+    Returns the number of lines; the id of each run of nonblank lines with one
+    id (a run may be split), and the run's length; and each nonblank line's
+    date ordinal and (24,) readings. `ordinal_of` maps the date keys YYYYMMDD seen
+    so far to their ordinals.
 
     A line whose readings are all in the writer's form, w digits, '.' and 4
     digits, is decoded by digit arithmetic: m / 10**4, for the integer m of its
     digits, is the double nearest the decimal, as np.loadtxt reads it, since
     m < 2**53 for w <= 8. np.loadtxt reads the other lines.
 
-    Raises ValueError on what the row parser might read differently or refuse:
-    a byte that is not UTF-8 (naming `path`), a quote, a carriage return inside
-    a line, an empty id or one of more than _HEAD - 12 bytes, a row without 26
-    fields, a date that is not YYYY-MM-DD (with the row parser's message), and
-    a reading np.loadtxt refuses.
+    Names every fault itself. A byte that is not UTF-8 is refused with `path`.
+    Each fault `_check_meter_row` raises is found as a mask over the lines,
+    and that function raises the error of the first faulty row, naming `path`
+    and its file row.
     """
     a = np.frombuffer(buf, np.uint8)
     if a.max() >= 0x80:
@@ -304,41 +316,36 @@ def _meter_chunk(buf: bytes, lineno: int, path: str):
             buf.decode("utf-8")
     ends = np.flatnonzero(a == 10)
     cr = a[ends - 1] == 13
-    if (a == 34).any() or np.count_nonzero(a == 13) != np.count_nonzero(cr):
-        raise ValueError("a quote, or a carriage return inside a line")
     starts = np.concatenate(([0], ends[:-1] + 1))
     stops = ends - cr
     line = np.flatnonzero(stops > starts)
     starts, stops = starts[line], stops[line]
 
     head = sliding_window_view(a, _HEAD)[starts]
-    comma = (head == 44).argmax(axis=1)  # the id comma; 0 if the head holds none
-    if not ((comma > 0) & (comma <= _HEAD - 12)).all():
-        raise ValueError("an empty consumer id, or one too long for the bulk reader")
-    date = sliding_window_view(a, 11)[starts + comma + 1]  # YYYY-MM-DD and a comma
+    id_end = starts + (head == 44).argmax(axis=1)  # each line's first comma: the id comma
+    far = np.flatnonzero((head != 44).all(axis=1))  # ids of _HEAD bytes or more
+    id_end[far] = [buf.find(b",", s) for s in starts[far].tolist()]
+    comma = id_end - starts  # the id's length in bytes
+    bad = comma == 0  # the lines with a fault: so far, those with an empty id
+    if (a == 34).any() or np.count_nonzero(a == 13) != np.count_nonzero(cr):
+        stray = np.flatnonzero((a == 34) | (a == 13))  # a quote; a carriage return inside a line
+        bad |= np.searchsorted(stray, stops) > np.searchsorted(stray, starts)
+    date = sliding_window_view(a, 11)[id_end + 1]  # YYYY-MM-DD and a comma
     digits = date[:, _DATE_DIGITS] - 48
-    plain = ((digits < 10).all(axis=1) & (date[:, [4, 7]] == 45).all(axis=1)
-             & (date[:, 10] == 44) & (comma + 11 < stops - starts))
-    if not plain.all():  # the first row whose date field is not exactly YYYY-MM-DD
-        r = int(np.argmin(plain))
-        fields = buf[starts[r]:stops[r]].decode("utf-8").split(",")
-        if len(fields) == len(METER_HEADER):
-            _parse_date(fields[1], lineno + int(line[r]), path)  # raises, naming the row
-        raise ValueError("wrong column count or date")
-    keys = digits.astype(np.int64) @ _DATE_PLACES
-
-    longest = comma.max(initial=0)  # 0 for a chunk of blank lines
-    id_bytes = head[:, :longest]
-    new_id = np.ones(len(starts), dtype=bool)
-    new_id[1:] = (comma[1:] != comma[:-1]) | ((id_bytes[1:] != id_bytes[:-1])
-                                              & (np.arange(longest) < comma[1:, None])).any(axis=1)
-    first = np.flatnonzero(new_id)
-    ids = [buf[s:s + n].decode("utf-8") for s, n in zip(starts[first].tolist(),
-                                                         comma[first].tolist())]
-    run_lengths = np.diff(np.append(first, len(starts)))
+    plain = (digits < 10).all(axis=1) & (date[:, [4, 7]] == 45).all(axis=1) & (date[:, 10] == 44)
+    keys, inverse = np.unique(np.where(plain, digits.astype(np.int64) @ _DATE_PLACES, 0),
+                              return_inverse=True)
+    for key in keys.tolist():
+        if key not in ordinal_of:
+            try:
+                ordinal_of[key] = dt.date(key // 10**4, key // 100 % 100, key % 100).toordinal()
+            except ValueError:  # no such day, or key 0 of a date not in the YYYY-MM-DD form
+                ordinal_of[key] = 0
+    ordinals = np.array([ordinal_of[k] for k in keys.tolist()], np.int32)[inverse]
+    bad |= ordinals == 0
 
     out = np.empty((len(starts), HOURS))
-    begin = starts + comma + 12  # the first reading
+    begin = id_end + 12  # the first reading
     span = stops + 1 - begin  # 24 readings of w + 5 bytes, each with the byte after it
     width = span // HOURS - 6
     fast = (span % HOURS == 0) & (width >= 1) & (width <= max(_READING_FORMS))
@@ -356,48 +363,36 @@ def _meter_chunk(buf: bytes, lineno: int, path: str):
         m /= 10**4
         out[at] = m  # rows not ok are read again below
         fast[at[~ok]] = False
-    other = np.flatnonzero(~fast)
+    other = np.flatnonzero(~fast & ~bad)
     if other.size:
         texts = [buf[s:e].decode("utf-8") for s, e in zip(starts[other].tolist(),
                                                            stops[other].tolist())]
-        if any(text.count(",") != HOURS + 1 for text in texts):
-            raise ValueError("wrong column count")
-        out[other] = np.loadtxt(texts, delimiter=",", usecols=range(2, 2 + HOURS),
-                                comments=None, ndmin=2)
-    return len(ends), line, ids, run_lengths, keys, out
+        try:
+            out[other] = _readings(texts)
+        except ValueError:  # read line by line to find the lines _readings refuses
+            for r, text in zip(other.tolist(), texts):
+                try:
+                    out[r] = _readings([text])[0]
+                except ValueError:
+                    bad[r] = True
+        checked = out[other]
+        bad[other] |= ~np.isfinite(checked).all(axis=1) | (checked < 0).any(axis=1)
+    if bad.any():
+        r = int(bad.argmax())
+        row = lineno + int(line[r])
+        _check_meter_row(buf[starts[r]:stops[r]].decode("utf-8"), row, path)
+        raise AssertionError(f"{path}: row {row} is marked faulty but passes the row check")
 
-
-def _load_meter_rows(path: str) -> list[ConsumerSeries]:
-    """The row-by-row meter parser: slow, but its errors name the file row or consumer."""
-    rows_by_consumer: dict[str, list[tuple[dt.date, np.ndarray]]] = {}
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != METER_HEADER:
-            raise ValueError(f"{path}: expected meter header {','.join(METER_HEADER[:3])},...")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(METER_HEADER):
-                raise ValueError(f"{path}: wrong column count at row {lineno}")
-            cid = row[0]
-            date = _parse_date(row[1], lineno, path)
-            values = _parse_hours(row[2:], lineno, path)
-            day_rows = rows_by_consumer.get(cid)
-            if day_rows is None:
-                _check_consumer_id(cid, lineno, path)
-                day_rows = rows_by_consumer[cid] = []
-            day_rows.append((date, values))
-
-    if not rows_by_consumer:
-        raise ValueError(f"{path}: no meter rows")
-    out = []
-    for cid, day_rows in rows_by_consumer.items():
-        dates = [d for d, _ in day_rows]
-        _check_consecutive(dates, f"consumer {cid}")
-        matrix = np.vstack([v for _, v in day_rows])
-        out.append(ConsumerSeries(cid, HourlyMatrix(matrix, dates[0])))
-    return out
+    # The lines that start a run: an id of another length or other bytes than the last line's,
+    # or one of _HEAD bytes or more. A run split in two still maps to one consumer, by its id.
+    new_id = np.ones(len(starts), dtype=bool)
+    new_id[1:] = (comma[1:] != comma[:-1]) | ((head[1:] != head[:-1])
+                                              & (np.arange(_HEAD) < comma[1:, None])).any(axis=1)
+    new_id[far] = True
+    first = np.flatnonzero(new_id)
+    ids = [buf[s:s + n].decode("utf-8") for s, n in zip(starts[first].tolist(),
+                                                         comma[first].tolist())]
+    return len(ends), ids, np.diff(np.append(first, len(starts))), ordinals, out
 
 
 def load_price_csv(path) -> PriceSeries:
@@ -411,21 +406,23 @@ def load_price_csv(path) -> PriceSeries:
         if unit not in _UNIT_SCALE:
             raise ValueError(f"{path}: unknown price unit {unit!r}")
         scale = _UNIT_SCALE[unit]
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PRICE_HEADER:
+        if fh.readline().rstrip("\r\n").split(",") != PRICE_HEADER:
             raise ValueError(f"{path}: expected price header {','.join(PRICE_HEADER[:3])},...")
         markets: dict[str, list[tuple[dt.date, np.ndarray]]] = {"DA": [], "RT": []}
-        for lineno, row in enumerate(reader, start=3):
-            if not row:
+        for lineno, text in enumerate(fh, start=3):
+            text = text.rstrip("\r\n")
+            if not text:
                 continue
+            if '"' in text:
+                raise ValueError(f"{path}: double quote at row {lineno}")
+            row = text.split(",")
             if len(row) != len(PRICE_HEADER):
                 raise ValueError(f"{path}: wrong column count at row {lineno}")
             date = _parse_date(row[0], lineno, path)
             market = row[1]
             if market not in markets:
                 raise ValueError(f"{path}: unknown market {market!r} at row {lineno}")
-            markets[market].append((date, _parse_hours(row[2:], lineno, path) * scale))
+            markets[market].append((date, _parse_hours(text, lineno, path) * scale))
 
     for name, rows in markets.items():
         if not rows:

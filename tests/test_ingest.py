@@ -1,3 +1,4 @@
+import codecs
 import csv
 import datetime as dt
 import os
@@ -18,8 +19,6 @@ from ratecraft.ingest import (
     PRICE_HEADER,
     SynthSpec,
     _archetype_shape,
-    _load_meter_bulk,
-    _load_meter_rows,
     align,
     atomic_write,
     load_meter_csv,
@@ -45,6 +44,65 @@ def _price_lines(rows, unit="cents_per_kwh"):
 
 def _day_cells(value):
     return ",".join(f"{value:.4f}" for _ in range(24))
+
+
+def _strict_meter_rows(path):
+    """The row-by-row reference of the meter rules. Each row is checked in one order: a double
+    quote or a carriage return, the field count, an empty id, the date, then each reading by
+    the one rule (the text np.loadtxt takes, finite, >= 0). Then each consumer's dates are
+    checked, in order of first appearance, and only then are the consumers built."""
+    path = str(path)
+    with open(path, "rb") as fh:
+        lines = fh.read().removeprefix(codecs.BOM_UTF8).decode("utf-8").split("\n")
+    if lines[0].rstrip("\r") != ",".join(METER_HEADER):
+        raise ValueError(f"{path}: expected meter header consumer_id,date,h00,...")
+    days_of = {}
+    for row, text in enumerate(lines[1:], start=2):
+        text = text.removesuffix("\r")
+        if not text:
+            continue
+        fields = text.split(",")
+        cid = fields[0]
+        if '"' in text or "\r" in text:
+            if '"' in cid or "\r" in cid:
+                raise ValueError(f"{path}: consumer id {cid!r} at row {row} contains a comma, "
+                                 "quote or line break")
+            raise ValueError(f"{path}: double quote or carriage return at row {row}")
+        if len(fields) != 26:
+            raise ValueError(f"{path}: wrong column count at row {row}")
+        if not cid:
+            raise ValueError(f"{path}: empty consumer id at row {row}")
+        try:
+            if not re.fullmatch(r"\d{4}-\d{2}-\d{2}", fields[1], re.ASCII):
+                raise ValueError
+            date = dt.date.fromisoformat(fields[1])
+        except ValueError:
+            raise ValueError(f"{path}: bad date {fields[1]!r} at row {row}") from None
+        values = []
+        for cell in fields[2:]:
+            try:
+                (value,) = np.loadtxt([f"0,{cell}"], delimiter=",", usecols=[1], comments=None,
+                                      ndmin=1)
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric reading at row {row}") from None
+            values.append(value)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: non-finite reading at row {row}")
+        if (np.array(values) < 0).any():
+            raise ValueError(f"{path}: negative reading at row {row}")
+        days_of.setdefault(cid, []).append((date, values))
+    if not days_of:
+        raise ValueError(f"{path}: no meter rows")
+    for cid, days in days_of.items():
+        for (prev, _), (cur, _) in zip(days, days[1:]):
+            if cur == prev:
+                raise ValueError(f"consumer {cid}: duplicate date {cur.isoformat()}")
+            if cur < prev:
+                raise ValueError(f"consumer {cid}: dates out of order at {cur.isoformat()}")
+            if cur > prev + dt.timedelta(days=1):
+                raise ValueError(f"consumer {cid}: gap at {(prev + dt.timedelta(days=1)).isoformat()}")
+    return [ConsumerSeries(cid, HourlyMatrix(np.array([v for _, v in days]), days[0][0]))
+            for cid, days in days_of.items()]
 
 
 def test_meter_roundtrip(tmp_path):
@@ -381,9 +439,7 @@ def test_bulk_reader_refuses_bad_readings_and_the_row_parser_names_them(tmp_path
             "b,2021-01-05," + ",".join([cell if h == 9 else "1.0000" for h in range(24)])]
     path = tmp_path / "meter.csv"
     path.write_text(_meter_lines(rows))
-    with pytest.raises(ValueError, match="values must be"):
-        _load_meter_bulk(str(path))
-    with pytest.raises(ValueError, match=f"{path}: {message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_meter_csv(path)
 
 
@@ -524,19 +580,19 @@ def _loaded(load, path):
 
 
 def test_bulk_meter_reader_takes_well_formed_files(tmp_path):
-    """The bulk pass itself reads LF and CRLF files, blank lines, interleaved consumers."""
+    """The meter reader takes LF and CRLF files, blank lines, interleaved consumers."""
     rows = [
         "#c,2021-01-05," + _day_cells(2.0),
         "b,2021-01-04," + _day_cells(1.0),
         "",
-        "#c,2021-01-06," + ",".join([" 1.0", "-0", "1e-400"] + ["3.25"] * 21),
+        "#c,2021-01-06," + ",".join([" 1.0", "-0", "1e-400", "+1.5"] + ["3.25"] * 20),
         "b,2021-01-05," + _day_cells(0.5),
     ]
     for eol in ("\n", "\r\n"):
         path = tmp_path / "meter.csv"
         path.write_text(_meter_lines(rows).replace("\n", eol), newline="")
-        assert _loaded(_load_meter_bulk, path) == _loaded(_load_meter_rows, path)
-        assert [c.consumer_id for c in _load_meter_bulk(path)] == ["#c", "b"]
+        assert _loaded(load_meter_csv, path) == _loaded(_strict_meter_rows, path)
+        assert [c.consumer_id for c in load_meter_csv(path)] == ["#c", "b"]
 
 
 def test_bulk_meter_reader_takes_chunks_that_hold_only_blank_lines(tmp_path, monkeypatch):
@@ -544,7 +600,7 @@ def test_bulk_meter_reader_takes_chunks_that_hold_only_blank_lines(tmp_path, mon
     rows = ["a,2021-01-04," + _day_cells(1.0)] + [""] * 9 + ["a,2021-01-05," + _day_cells(2.0)]
     path = tmp_path / "meter.csv"
     path.write_text(_meter_lines(rows) + "\n" * 9, encoding="utf-8")
-    assert _loaded(_load_meter_bulk, path) == _loaded(_load_meter_rows, path)
+    assert _loaded(load_meter_csv, path) == _loaded(_strict_meter_rows, path)
 
 
 def test_bulk_meter_reader_keeps_file_order_within_each_consumer(tmp_path):
@@ -553,15 +609,15 @@ def test_bulk_meter_reader_keeps_file_order_within_each_consumer(tmp_path):
             for d in range(30) for i in range(40)]
     path = tmp_path / "meter.csv"
     path.write_text(_meter_lines(rows))
-    bulk = _load_meter_bulk(path)
-    assert _loaded(lambda p: bulk, path) == _loaded(_load_meter_rows, path)
+    bulk = load_meter_csv(path)
+    assert _loaded(lambda p: bulk, path) == _loaded(_strict_meter_rows, path)
     assert bulk[7].usage.values[:, 0].tolist() == [1 + d + 0.07 for d in range(30)]
 
 
 _HEADERS = [",".join(METER_HEADER)] * 6 + ['"consumer_id",' + ",".join(METER_HEADER[1:])]
-# The bulk reader places ids of up to 52 bytes: "é" * 26 is the longest, "i" * 53 too long.
-_IDS = ["a", "b", "#c", "x y", "ночь-1", "é" * 26, "i" * 53]
-_ODD_IDS = ['"a"', '"p,q"']
+# Ids short and long, up to 81 bytes ("é" * 40 + "i"): the reader takes any byte length.
+_IDS = ["a", "b", "#c", "x y", "ночь-1", "é" * 26, "i" * 53, "é" * 40 + "i"]
+_ODD_IDS = ['"a"', '"p,q"', "", "a\rb"]
 _DATES = ['"2021-01-05"', "2021-13-01", "20210105", ""]
 _CELLS = ["1_0", "\u0661", " 1.0", "nan", "Infinity", "-0", "-1.5", '"2.5"', "", "1e-400",
           "1.5", "1e-3", " 2.0", "12345678.0000", "123456789.0000", "007.5000"]
@@ -616,15 +672,15 @@ def _meter_texts(draw):
 def test_meter_loader_equals_row_parser(tmp_path, text):
     path = tmp_path / "meter.csv"
     path.write_text(text, newline="")
-    assert _loaded(load_meter_csv, path) == _loaded(_load_meter_rows, path)
+    assert _loaded(load_meter_csv, path) == _loaded(_strict_meter_rows, path)
 
 
 @st.composite
 def _written_files(draw):
-    """Consumers as `write_meter_csv` takes them, and a chunk size for the bulk reader."""
+    """Consumers as `write_meter_csv` takes them, and a chunk size for the meter reader."""
     ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
                                               blacklist_characters=',"\r\n\x00'),
-                                min_size=1, max_size=30), min_size=1, max_size=4, unique=True))
+                                min_size=1, max_size=40), min_size=1, max_size=4, unique=True))
     days = draw(st.integers(1, 4))
     consumers = []
     for cid in ids:
@@ -647,37 +703,34 @@ def _written_files(draw):
                                                    HealthCheck.too_slow])
 @given(case=_written_files())
 def test_bulk_reader_equals_row_parser_on_every_written_file(tmp_path, case):
-    """No fallback: every file the writer writes is read by the bulk reader itself."""
+    """Every file the writer writes, whatever the byte length of its ids, loads to the same bytes."""
     consumers, chunk = case
     path = tmp_path / "meter.csv"
     write_meter_csv(consumers, path)
-    expected = _loaded(_load_meter_rows, path)
+    expected = _loaded(_strict_meter_rows, path)
     assert expected == [(c.consumer_id, c.usage.start_date, c.usage.values.tobytes())
                         for c in consumers]
     with mock.patch.object(ingest, "_CHUNK", chunk):
-        if max(len(c.consumer_id.encode("utf-8")) for c in consumers) <= 52:
-            assert _loaded(_load_meter_bulk, path) == expected
-        else:
-            with pytest.raises(ValueError, match="too long for the bulk reader"):
-                _load_meter_bulk(str(path))
-            assert _loaded(load_meter_csv, path) == expected
+        assert _loaded(load_meter_csv, path) == expected
 
 
 def test_bulk_reader_splits_prefix_ids_and_outgrows_its_row_estimate(tmp_path, monkeypatch):
-    """An id that is a prefix of the one before starts a new run; and lines that shorten after
-    the first chunk hold more rows than the reader first estimates from that chunk."""
+    """An id that is a prefix of the one before starts a new run, at any length (the reader
+    looks for the id comma in the first 16 bytes of a line, then past them); and lines that
+    shorten after the first chunk hold more rows than the reader first estimates from it."""
     monkeypatch.setattr(ingest, "_CHUNK", 1000)
-    consumers = [ConsumerSeries("l" * 52, _series(START, 3, 12345678.0625))]
+    consumers = [ConsumerSeries(cid, _series(START, 3, 12345678.0625))
+                 for cid in ["l" * 70, "l" * 69, "q" * 16, "q" * 15, "q" * 17, "q" * 16 + "r"]]
     consumers += [ConsumerSeries(cid, _series(START, 50, k + 0.5))
                   for k, cid in enumerate(["ab", "a", "abc"])]
     path = tmp_path / "meter.csv"
     write_meter_csv(consumers, path)
     expected = [(c.consumer_id, START, c.usage.values.tobytes()) for c in consumers]
-    assert _loaded(_load_meter_bulk, path) == expected == _loaded(_load_meter_rows, path)
+    assert _loaded(load_meter_csv, path) == expected == _loaded(_strict_meter_rows, path)
 
 
 def test_four_decimals_are_m_over_ten_thousand_for_every_m_below_a_million():
-    """The bulk reader's arithmetic, m / 10**4, gives the double float() reads from the text."""
+    """The meter reader's arithmetic, m / 10**4, gives the double float() reads from the text."""
     m = np.arange(10**6)
     assert (m / 10**4).tobytes() == np.array([float(_reading(k)) for k in range(10**6)]).tobytes()
 
@@ -698,7 +751,7 @@ def test_bulk_reader_decodes_readings_to_the_double_float_reads(tmp_path, lines)
     path.write_text(_meter_lines(rows), encoding="utf-8")
     expected = np.array([[float(t) for t in cells] for cells in texts])
     if expected.any():
-        (consumer,) = _load_meter_bulk(str(path))
+        (consumer,) = load_meter_csv(path)
         assert consumer.usage.values.tobytes() == expected.tobytes()
 
 
@@ -710,9 +763,9 @@ def test_bulk_reader_checks_utf8_in_every_chunk(tmp_path, monkeypatch):
     path.write_bytes(_meter_lines(rows).encode("utf-8")
                      + ("caf\xe9,2021-01-04," + _day_cells(1.0) + "\n").encode("latin-1"))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
-        _load_meter_bulk(str(path))
+        load_meter_csv(path)
     path.write_text(_meter_lines(rows), encoding="utf-8")
-    assert [c.consumer_id for c in _load_meter_bulk(str(path))] == [f"ночь-{i}" for i in range(8)]
+    assert [c.consumer_id for c in load_meter_csv(path)] == [f"ночь-{i}" for i in range(8)]
 
 
 def test_utf8_byte_order_mark_is_skipped(tmp_path):
@@ -725,8 +778,8 @@ def test_utf8_byte_order_mark_is_skipped(tmp_path):
             dst.write_bytes(b"\xef\xbb\xbf" + fh.read())
     expected = _loaded(load_meter_csv, meter)
     assert isinstance(expected, list)
-    assert _loaded(_load_meter_bulk, bom_meter) == expected
-    assert _loaded(_load_meter_rows, bom_meter) == expected
+    assert _loaded(load_meter_csv, bom_meter) == expected
+    assert _loaded(_strict_meter_rows, bom_meter) == expected
     a, b = load_price_csv(prices), load_price_csv(bom_prices)
     assert a.start_date == b.start_date
     assert np.array_equal(a.day_ahead.values, b.day_ahead.values)
@@ -770,8 +823,7 @@ def test_files_that_are_not_utf8_are_named(tmp_path):
     prices.write_bytes(_price_lines(["2021-01-04,DA," + _day_cells(1.0),
                                      "2021-01-04,RT," + _day_cells(1.0)])
                        .replace("#unit=", "#unit=\xb0").encode("latin-1"))
-    for load, path in ((load_meter_csv, meter), (_load_meter_bulk, meter),
-                       (_load_meter_rows, meter), (load_price_csv, prices)):
+    for load, path in ((load_meter_csv, meter), (load_price_csv, prices)):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             load(path)
 
@@ -785,7 +837,7 @@ def test_meter_dates_must_be_exactly_yyyy_mm_dd(tmp_path, date):
     path.write_text(_meter_lines(["a,2021-01-04," + _day_cells(1.0),
                                   f"a,{date}," + _day_cells(1.0)]), encoding="utf-8")
     message = f"{path}: bad date {date!r} at row 3"
-    for load in (load_meter_csv, _load_meter_bulk, _load_meter_rows):
+    for load in (load_meter_csv, _strict_meter_rows):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load(path)
 
@@ -796,4 +848,84 @@ def test_price_dates_must_be_exactly_yyyy_mm_dd(tmp_path, date):
     path.write_text(_price_lines([f"{date},DA," + _day_cells(1.0),
                                   "2021-01-05,RT," + _day_cells(1.0)]), encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: bad date {date!r} at row 3')}$"):
+        load_price_csv(path)
+
+
+# -- the one rule for a reading, and the faults the meter reader names -------------------
+
+
+_READING_RULE = [(" 1.0", 1.0), ("+1.5", 1.5), ("-0", -0.0), ("1e-400", 0.0),
+                 ("nan", "non-finite"), ("Infinity", "non-finite"),
+                 ("1_0", "non-numeric"), ("\u0661\u0662", "non-numeric"), ("", "non-numeric"),
+                 ("0x10", "non-numeric")]
+
+
+@pytest.mark.parametrize("cell, expected", _READING_RULE)
+def test_one_reading_rule_for_meter_and_price_files(tmp_path, cell, expected):
+    """A reading is the text np.loadtxt takes, finite and >= 0, in either file."""
+    cells = ",".join([cell if h == 5 else "1.0000" for h in range(24)])
+    meter, prices = tmp_path / "meter.csv", tmp_path / "prices.csv"
+    meter.write_text(_meter_lines(["a,2021-01-04," + _day_cells(1.0), "a,2021-01-05," + cells]),
+                     encoding="utf-8")
+    prices.write_text(_price_lines(["2021-01-04,DA," + cells, "2021-01-04,RT," + _day_cells(1.0)]),
+                      encoding="utf-8")
+    if isinstance(expected, float):
+        value = np.float64(expected).tobytes()
+        assert load_meter_csv(meter)[0].usage.values[1, 5].tobytes() == value
+        assert load_price_csv(prices).day_ahead.values[0, 5].tobytes() == value
+        assert _loaded(_strict_meter_rows, meter) == _loaded(load_meter_csv, meter)
+    else:
+        for load, path in ((load_meter_csv, meter), (_strict_meter_rows, meter),
+                           (load_price_csv, prices)):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected} reading at row 3')}$"):
+                load(path)
+
+
+_ROW_FAULTS = [
+    (",2021-01-04," + _day_cells(1.0), "empty consumer id at row 3"),
+    ("a,2021-01-05," + _day_cells(1.0)[:-7], "wrong column count at row 3"),
+    ('a,2021-01-05,"2.5",' + _day_cells(1.0)[7:], "double quote or carriage return at row 3"),
+    ("a,2021-01-05,1.0\r," + _day_cells(1.0)[7:], "double quote or carriage return at row 3"),
+    ('"a",2021-01-05,1_0,' + _day_cells(1.0)[7:],
+     "consumer id '\"a\"' at row 3 contains a comma, quote or line break"),
+    ("a,2021-01-05,nan," + _day_cells(-1.0)[8:], "non-finite reading at row 3"),
+]
+
+
+@pytest.mark.parametrize("line, message", _ROW_FAULTS)
+def test_meter_reader_names_the_row_of_each_fault(tmp_path, line, message):
+    """Each fault of a row, the first in the reference's order, with the path and the row; a
+    later row's fault is not reached, in the same chunk or in a later one."""
+    path = tmp_path / "meter.csv"
+    rows = ["a,2021-01-04," + _day_cells(1.0), line, "a,2021-01-06,1_0," + _day_cells(1.0)[7:]]
+    path.write_bytes(_meter_lines(rows).encode("utf-8"))
+    for chunk in (1, 1 << 19):
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            for load in (load_meter_csv, _strict_meter_rows):
+                with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                    load(path)
+
+
+def test_meter_reader_names_the_consumer_of_the_first_date_break(tmp_path):
+    """Row faults anywhere come first; then the first consumer to appear with a break."""
+    day = [(START + dt.timedelta(days=d)).isoformat() for d in range(4)]
+    rows = [f"a,{day[0]}," + _day_cells(1.0), f"b,{day[0]}," + _day_cells(1.0),
+            f"b,{day[2]}," + _day_cells(1.0), f"a,{day[1]}," + _day_cells(1.0),
+            f"a,{day[1]}," + _day_cells(1.0)]
+    path = tmp_path / "meter.csv"
+    path.write_text(_meter_lines(rows), encoding="utf-8")
+    for load in (load_meter_csv, _strict_meter_rows):
+        with pytest.raises(ValueError, match=f"^consumer a: duplicate date {day[1]}$"):
+            load(path)
+    path.write_text(_meter_lines(rows + [f"c,{day[3]},1_0," + _day_cells(1.0)[7:]]),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="non-numeric reading at row 7"):
+        load_meter_csv(path)
+
+
+def test_price_rows_refuse_a_double_quote(tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text(_price_lines(['2021-01-04,"DA",' + _day_cells(1.0),
+                                  "2021-01-04,RT," + _day_cells(1.0)]), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: double quote at row 3')}$"):
         load_price_csv(path)
