@@ -51,7 +51,6 @@ from .segmentation import (
 from .simulate import ReplayReport, replay_validate
 from .solver import (
     SolveResult,
-    brute_force_min_lambda,
     feasibility_test,
     lambda_curve,
     solve_min_lambda,
@@ -88,7 +87,6 @@ __all__ = [
     "SynthSpec",
     "align",
     "backtest_cv",
-    "brute_force_min_lambda",
     "consumer_stats",
     "cv",
     "cv_curve",

@@ -32,7 +32,7 @@ from .ingest import (
     DEFAULT_TRAIN_SPLIT,
     EmptyTrainWindow,
     SynthSpec,
-    _decoded,
+    _decode,
     align,
     atomic_write,
     load_meter_csv,
@@ -152,11 +152,10 @@ def _load_config(path) -> dict:
     """
     if path is None:
         return {}
-    with _decoded(path), open(path, encoding="utf-8-sig") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    try:
+        cfg = json.loads(_decode(Path(path).read_bytes(), path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config file must hold a JSON object")
     params = {p.name: p for p in _PARAMS}
@@ -401,8 +400,7 @@ def _run_segment(params):
 
 
 def _read_selection_ids(path) -> list[str]:
-    with _decoded(path):
-        lines = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
+    lines = _decode(Path(path).read_bytes(), path).splitlines()
     if not lines or lines[0] != "consumer_id":
         raise ValueError(f"{path}: expected a selection CSV with header consumer_id")
     ids = [line for line in lines[1:] if line]

@@ -67,9 +67,6 @@ class CvCurve:
     points: tuple[CvPoint, ...]
     random_ci: dict[int, tuple[float, float]]
 
-    def random_points(self) -> list[CvPoint]:
-        return [p for p in self.points if p.kind == "random"]
-
 
 def fit_ar(series: Sequence[float], order: int) -> tuple[float, np.ndarray]:
     """Least-squares AR(order) fit with intercept on a 1-D series."""
@@ -99,8 +96,8 @@ def group_profile(dataset: Dataset, u: SelectionVector) -> np.ndarray:
     the last three form the blocks {n-3, n-2} and {n-1}. A block's members
     are added in index order, ((r0 + r1) + r2) + r3, and the block sums are
     added in block order to a zero row. That is the order of OpenBLAS's
-    SkylakeX `dgemv` for the dense product `u.bits @ usage`, where an absent
-    member adds an exact zero, so profiles keep the bytes that product gave.
+    SkylakeX `dgemv` for the dense 0/1 product of u and the usage, where an
+    absent member adds an exact zero, so profiles keep the bytes it gave.
     """
     n = dataset.n_consumers
     if u.n != n:

@@ -11,7 +11,8 @@ One rule holds for a reading in a meter or a price file: its text is one
 ``np.loadtxt`` takes, and its value is finite and nonnegative. A double
 quote anywhere in a row is refused; no field is ever quoted.
 
-Files are UTF-8, and one that does not decode is refused with its path.
+Files are UTF-8, and one that does not decode is refused with its path and
+the file row of its first bad byte.
 Written header and data lines end in CRLF, the price file's ``#unit=`` line
 in LF. LF and CRLF line ends are both read, and one leading UTF-8 byte-order
 mark is skipped. The meter file is read by one reader, in one vectorized
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 import codecs
 import datetime as dt
+import io
 import math
 import os
 import re
 import secrets
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,22 +120,17 @@ class SynthSpec:
             raise ValueError("seed must be >= 0")
 
 
-@contextmanager
-def _decoded(path):
-    """Raise a byte that is not UTF-8, read within the block, as a ValueError naming `path`."""
+def _decode(data: bytes, path, row: int = 1) -> str:
+    """`data`, file rows from `row` on, as UTF-8 text past one leading byte-order mark.
+
+    A byte that is not UTF-8 is a ValueError naming `path` and the file row that holds it.
+    """
     try:
-        yield
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-@contextmanager
-def _open_text(path):
-    """`path` opened as UTF-8 text, past one leading byte-order mark, under `_decoded`."""
-    with _decoded(path), open(path, encoding="utf-8", newline="") as fh:
-        if fh.read(1) != "\ufeff":
-            fh.seek(0)
-        yield fh
+        row += data.count(b"\n", 0, exc.start)
+        raise ValueError(f"{path}: 'utf-8' codec can't decode byte 0x{data[exc.start]:02x} "
+                         f"at row {row}: {exc.reason}") from None
 
 
 def _parse_date(text: str, lineno: int, path: str) -> dt.date:
@@ -305,15 +301,15 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
     digits, is the double nearest the decimal, as np.loadtxt reads it, since
     m < 2**53 for w <= 8. np.loadtxt reads the other lines.
 
-    Names every fault itself. A byte that is not UTF-8 is refused with `path`.
+    Names every fault itself. A byte that is not UTF-8 is refused with `path`
+    and its file row.
     Each fault `_check_meter_row` raises is found as a mask over the lines,
     and that function raises the error of the first faulty row, naming `path`
     and its file row.
     """
     a = np.frombuffer(buf, np.uint8)
     if a.max() >= 0x80:
-        with _decoded(path):
-            buf.decode("utf-8")
+        _decode(buf, path, lineno)
     ends = np.flatnonzero(a == 10)
     cr = a[ends - 1] == 13
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -398,7 +394,9 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
 def load_price_csv(path) -> PriceSeries:
     """Load aligned DA/RT prices, converting to cents/kWh per the unit line."""
     path = str(path)
-    with _open_text(path) as fh:
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path)
+    with io.StringIO(text, newline="") as fh:
         first = fh.readline().strip()
         if not first.startswith("#unit="):
             raise ValueError(f"{path}: missing #unit= metadata line")
@@ -427,7 +425,7 @@ def load_price_csv(path) -> PriceSeries:
     for name, rows in markets.items():
         if not rows:
             raise ValueError(f"{path}: no {name} rows")
-        _check_consecutive([d for d, _ in rows], f"{name} market")
+        _check_consecutive([d for d, _ in rows], f"{path}: {name} market")
     da_dates = [d for d, _ in markets["DA"]]
     rt_dates = [d for d, _ in markets["RT"]]
     if da_dates != rt_dates:

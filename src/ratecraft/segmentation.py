@@ -100,10 +100,6 @@ class StabilityReport:
     moves_checked: int
     violations: tuple[StabilityViolation, ...] = field(default_factory=tuple)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def default_size_grid(n: int, smallest: int = 10) -> list[int]:
     """Up to 20 log-spaced candidate sizes from `smallest` up to n."""

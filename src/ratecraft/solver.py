@@ -12,7 +12,6 @@ certificate selection.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,8 +21,6 @@ import numpy as np
 from .types import CostStats, SelectionVector
 
 DEFAULT_GAMMA = 1e-6  # cents/kWh; well below any reporting granularity
-
-BRUTE_FORCE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -97,37 +94,6 @@ def solve_min_lambda(stats: CostStats, m: int, gamma: float = DEFAULT_GAMMA) -> 
     selection = feasibility_test(stats, hi, m)
     assert selection is not None  # hi is the last feasible midpoint or the max ratio
     return SolveResult(lambda_star=hi, selection=selection, iterations=iterations, bracket=(lo, hi))
-
-
-def brute_force_min_lambda(stats: CostStats, m: int) -> SolveResult:
-    """Exact minimizer by enumerating every M-subset; oracle for the bisection.
-
-    Guarded: refuses instances with more than BRUTE_FORCE_LIMIT combinations.
-    """
-    _check_m(stats, m)
-    count = math.comb(stats.n, m)
-    if count > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"C({stats.n}, {m}) = {count} subsets exceeds the limit of {BRUTE_FORCE_LIMIT}"
-        )
-    t = stats.t.tolist()
-    w = stats.w.tolist()
-    best_ratio = math.inf
-    best_subset: tuple[int, ...] = ()
-    for subset in itertools.combinations(range(stats.n), m):
-        num = sum(t[i] for i in subset)
-        den = sum(w[i] for i in subset)
-        ratio = num / den
-        if ratio < best_ratio:
-            best_ratio = ratio
-            best_subset = subset
-    selection = SelectionVector(stats.n, best_subset)
-    return SolveResult(
-        lambda_star=best_ratio,
-        selection=selection,
-        iterations=count,
-        bracket=(best_ratio, best_ratio),
-    )
 
 
 def lambda_curve(

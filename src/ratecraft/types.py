@@ -241,7 +241,7 @@ class Dataset:
 class SelectionVector:
     """A nonempty group out of n consumers: the selection vector u in {0,1}^n.
 
-    `indices` holds the members (read-only, ascending, distinct intp); `bits` builds the mask.
+    `indices` holds the members: read-only, ascending, distinct intp.
     Two selections are equal, and hash alike, when they have the same n and members.
     """
 
@@ -272,13 +272,6 @@ class SelectionVector:
     @property
     def cardinality(self) -> int:
         return int(self.indices.size)
-
-    @property
-    def bits(self) -> np.ndarray:
-        bits = np.zeros(self.n, dtype=bool)
-        bits[self.indices] = True
-        bits.setflags(write=False)
-        return bits
 
 
 @dataclass(frozen=True)

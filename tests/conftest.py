@@ -1,11 +1,14 @@
 import datetime as dt
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from ratecraft.ingest import SynthSpec, synth_population
-from ratecraft.types import ConsumerSeries, Dataset, HourlyMatrix, PriceSeries
+from ratecraft.solver import SolveResult, _check_m
+from ratecraft.types import ConsumerSeries, Dataset, HourlyMatrix, PriceSeries, SelectionVector
 
 settings.register_profile(
     "det",
@@ -17,6 +20,46 @@ settings.register_profile(
 settings.load_profile("det")
 
 START = dt.date(2021, 1, 4)  # a Monday
+
+BRUTE_FORCE_LIMIT = 1_000_000
+
+
+def brute_force_min_lambda(stats, m: int) -> SolveResult:
+    """Exact minimizer by enumerating every M-subset; oracle for the bisection.
+
+    Guarded: refuses instances with more than BRUTE_FORCE_LIMIT combinations.
+    """
+    _check_m(stats, m)
+    count = math.comb(stats.n, m)
+    if count > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"C({stats.n}, {m}) = {count} subsets exceeds the limit of {BRUTE_FORCE_LIMIT}"
+        )
+    t = stats.t.tolist()
+    w = stats.w.tolist()
+    best_ratio = math.inf
+    best_subset: tuple[int, ...] = ()
+    for subset in itertools.combinations(range(stats.n), m):
+        num = sum(t[i] for i in subset)
+        den = sum(w[i] for i in subset)
+        ratio = num / den
+        if ratio < best_ratio:
+            best_ratio = ratio
+            best_subset = subset
+    selection = SelectionVector(stats.n, best_subset)
+    return SolveResult(
+        lambda_star=best_ratio,
+        selection=selection,
+        iterations=count,
+        bracket=(best_ratio, best_ratio),
+    )
+
+
+def mask(selection: SelectionVector) -> np.ndarray:
+    """The selection as a boolean mask over its n consumers."""
+    bits = np.zeros(selection.n, dtype=bool)
+    bits[selection.indices] = True
+    return bits
 
 
 def make_dataset(usages, da, rt=None, train_days=None, ids=None, start=START):

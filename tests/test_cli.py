@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import vacate_validate
+from conftest import brute_force_min_lambda, vacate_validate
 from ratecraft.cli import main
 from ratecraft.costs import consumer_stats
 from ratecraft.ingest import (
@@ -15,7 +15,6 @@ from ratecraft.ingest import (
     write_meter_csv,
     write_price_csv,
 )
-from ratecraft.solver import brute_force_min_lambda
 from ratecraft.types import HourlyMatrix, PriceSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -505,8 +504,10 @@ def test_files_that_are_not_utf8_are_named_and_keep_their_exit_codes(tmp_path, c
     selection.write_bytes("consumer_id\ncaf\xe9\n".encode("latin-1"))
     assert main(["simulate", "--meter", METER, "--prices", PRICES,
                  "--selection", str(selection), "--out-dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {selection}: 'utf-8' codec can't decode")
+    assert capsys.readouterr().err.startswith(f"error: {selection}: 'utf-8' codec can't decode "
+                                              "byte 0xe9 at row 2: ")
     config = tmp_path / "config.json"
     config.write_bytes('{"out_dir": "caf\xe9"}'.encode("latin-1"))
     assert main(["synth", "--config", str(config)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {config}: 'utf-8' codec can't decode")
+    assert capsys.readouterr().err.startswith(f"error: {config}: 'utf-8' codec can't decode "
+                                              "byte 0xe9 at row 1: ")

@@ -155,7 +155,7 @@ def test_group_lambda_within_member_bounds(t, w, data):
     )
     sel = SelectionVector(n, members)
     lam = group_lambda(stats, sel)
-    member_rates = stats.ratios[sel.bits]
+    member_rates = stats.ratios[sel.indices]
     assert member_rates.min() - 1e-9 <= lam <= member_rates.max() + 1e-9
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, vacate_validate
+from conftest import make_dataset, mask, vacate_validate
 from ratecraft import forecast
 from ratecraft.forecast import (
     DEFAULT_AR_ORDER,
@@ -147,7 +147,7 @@ def test_group_profile_equals_the_dense_product_on_skylakex(n):
     rng = np.random.default_rng(n)
     for k in sorted({1, max(n // 3, 1), max(n - 1, 1), n}):
         sel = SelectionVector(n, rng.choice(n, size=k, replace=False))
-        dense = (sel.bits.astype(np.float64) @ flat).reshape(ds.n_days, 24)
+        dense = (mask(sel).astype(np.float64) @ flat).reshape(ds.n_days, 24)
         assert group_profile(ds, sel).tobytes() == dense.tobytes()
 
 
@@ -452,7 +452,7 @@ def test_cv_curve_full_population_coincides(synth_medium):
 
 def test_cv_curve_mean_decreasing(synth_medium):
     curve = cv_curve(synth_medium, [5, 20, 80], n_random_trials=8, seed=2)
-    rand = {p.m: p.cv for p in curve.random_points()}
+    rand = {p.m: p.cv for p in curve.points if p.kind == "random"}
     assert rand[5] > rand[20] > rand[80]
     for m, (lo, hi) in curve.random_ci.items():
         assert 0.0 <= lo <= rand[m] <= hi

@@ -268,6 +268,22 @@ def test_price_unknown_market(tmp_path):
         load_price_csv(path)
 
 
+@pytest.mark.parametrize("market", ["DA", "RT"])
+@pytest.mark.parametrize("dates, fault", [
+    (["2021-01-04", "2021-01-06"], "gap at 2021-01-05"),
+    (["2021-01-04", "2021-01-04"], "duplicate date 2021-01-04"),
+    (["2021-01-05", "2021-01-04"], "dates out of order at 2021-01-04"),
+])
+def test_price_date_breaks_name_the_file_and_the_market(tmp_path, market, dates, fault):
+    other = {"DA": "RT", "RT": "DA"}[market]
+    rows = [f"{d},{other}," + _day_cells(3.0) for d in ("2021-01-04", "2021-01-05")]
+    rows += [f"{d},{market}," + _day_cells(3.0) for d in dates]
+    path = tmp_path / "prices.csv"
+    path.write_text(_price_lines(rows), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {market} market: {fault}')}$"):
+        load_price_csv(path)
+
+
 def _series(start, days, value=1.0):
     return HourlyMatrix(np.full((days, 24), value), start)
 
@@ -756,13 +772,15 @@ def test_bulk_reader_decodes_readings_to_the_double_float_reads(tmp_path, lines)
 
 
 def test_bulk_reader_checks_utf8_in_every_chunk(tmp_path, monkeypatch):
-    """A bad byte lines past the first chunk is named; good non-ASCII ids before it are not."""
+    """A bad byte lines past the first chunk is named with its file row; good non-ASCII ids
+    before it are not."""
     monkeypatch.setattr(ingest, "_CHUNK", 300)
     rows = [f"ночь-{i},2021-01-04," + _day_cells(1.0) for i in range(8)]
     path = tmp_path / "meter.csv"
     path.write_bytes(_meter_lines(rows).encode("utf-8")
                      + ("caf\xe9,2021-01-04," + _day_cells(1.0) + "\n").encode("latin-1"))
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"
+                                         " byte 0xe9 at row 10: invalid continuation byte$"):
         load_meter_csv(path)
     path.write_text(_meter_lines(rows), encoding="utf-8")
     assert [c.consumer_id for c in load_meter_csv(path)] == [f"ночь-{i}" for i in range(8)]
@@ -826,6 +844,12 @@ def test_files_that_are_not_utf8_are_named(tmp_path):
     for load, path in ((load_meter_csv, meter), (load_price_csv, prices)):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             load(path)
+    prices.write_bytes(_price_lines(["2021-01-04,DA," + _day_cells(1.0),
+                                     "2021-01-04,RT," + _day_cells(1.0) + ",caf\xe9"])
+                       .encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(prices))}: 'utf-8' codec can't decode"
+                                         " byte 0xe9 at row 4: invalid continuation byte$"):
+        load_price_csv(prices)
 
 
 _LOOSE_DATES = ["20210105", "2021-W01-2", "2021-01-5", "2021-01-05T00", "٢021-01-05"]

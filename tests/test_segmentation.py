@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import brute_force_min_lambda, mask
 from ratecraft import segmentation
 from ratecraft.costs import consumer_stats, group_lambda
 from ratecraft.forecast import backtest_cv
@@ -48,7 +51,7 @@ def test_segment_identical_consumers_equal_rates():
     # partition: every consumer in exactly one group
     union = np.zeros(12, dtype=int)
     for g in seg.groups:
-        union += g.members.bits.astype(int)
+        union += mask(g.members).astype(int)
     assert np.all(union == 1)
 
 
@@ -78,7 +81,7 @@ def test_segment_deterministic(synth_medium):
     for ga, gb in zip(a.groups, b.groups):
         assert ga.rate == gb.rate
         assert ga.cv == gb.cv
-        assert np.array_equal(ga.members.bits, gb.members.bits)
+        assert ga.members == gb.members
 
 
 def test_segment_rates_above_remaining_minimum(synth_medium):
@@ -88,7 +91,7 @@ def test_segment_rates_above_remaining_minimum(synth_medium):
     for g in seg.groups:
         floor = float(stats.ratios[remaining].min())
         assert g.rate >= floor - 2 * GAMMA
-        remaining &= ~g.members.bits
+        remaining &= ~mask(g.members)
 
 
 def test_segment_leftover_aggregate_vs_drop(synth_medium):
@@ -128,7 +131,7 @@ def test_segment_bracket_scan_matches_brute_force(synth_medium):
         pytest.fail("no size in 3..199 meets the threshold")
     seg = segment_population(synth_medium, cv_threshold=10.0, size_grid=[2, 200])
     assert seg.groups[0].size == k
-    assert np.array_equal(seg.groups[0].members.bits, smallest.bits)
+    assert seg.groups[0].members == smallest
 
 
 def _vacant_in_validate(ds, vacant):
@@ -148,7 +151,7 @@ def test_segment_skips_groups_vacant_in_validate_window():
                              cv_threshold=10.0)
     union = np.zeros(ds.n_consumers, dtype=int)
     for g in seg.groups:
-        union += g.members.bits.astype(int)
+        union += mask(g.members).astype(int)
     assert np.all(union == 1)
 
 
@@ -189,9 +192,59 @@ def test_stability_audit_clean_on_solver_output(synth_medium):
     stats = consumer_stats(synth_medium)
     seg = segment_population(synth_medium, cv_threshold=8.0, size_grid=[10, 25, 50, 100, 200])
     report = stability_audit(seg, stats, GAMMA)
-    assert report.ok
+    assert not report.violations
     assert report.pairs_checked == len(seg.threshold_met_groups()) - 1
     assert report.moves_checked > 0
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(20, 200),
+    days=st.integers(40, 60),
+    cv_threshold=st.sampled_from([8.0, 15.0, 30.0]),
+    fraction_peaky=st.sampled_from([0.2, 0.5, 0.8]),
+    seed=st.integers(0, 2**16),
+)
+def test_no_consumer_of_a_later_group_gains_by_joining_an_earlier_one(
+    n, days, cv_threshold, fraction_peaky, seed
+):
+    """The paper's stability claim in full: every consumer of every later group, the leftover
+    group included, joins every earlier threshold-met group, and no join lowers that group's
+    rate by more than 2*gamma. stability_audit checks only consecutive threshold-met pairs."""
+    ds = synth_population(SynthSpec(n_consumers=n, n_days=days, fraction_peaky=fraction_peaky,
+                                    noise_cv=0.35, seed=seed))
+    stats = consumer_stats(ds)
+    groups = segment_population(ds, cv_threshold=cv_threshold, gamma=GAMMA).groups
+    for i, earlier in enumerate(groups):
+        if not earlier.threshold_met:
+            continue
+        members = earlier.members.indices
+        t_sum, w_sum = float(stats.t[members].sum()), float(stats.w[members].sum())
+        for later in groups[i + 1:]:
+            joiners = later.members.indices
+            joined = (t_sum + stats.t[joiners]) / (w_sum + stats.w[joiners])
+            gains = joiners[joined < earlier.rate - 2 * GAMMA].tolist()
+            assert not gains, f"round {later.round}'s {gains} lower round {earlier.round}'s rate"
+
+
+def test_each_recruited_group_is_the_cheapest_of_its_size_in_its_pool():
+    """Each threshold-met round's rate is within gamma of the enumerated minimum rate over all
+    groups of its size among the consumers that round could recruit."""
+    rounds = 0
+    for seed in range(30):
+        n = 2 + seed % 11
+        spec = SynthSpec(n_consumers=n, n_days=40, noise_cv=(0.1, 0.2, 0.35)[seed % 3], seed=seed)
+        ds = synth_population(spec)
+        stats = consumer_stats(ds)
+        for cv_threshold in (5.0, 15.0, 40.0):
+            pool = np.arange(n)
+            for g in segment_population(ds, cv_threshold=cv_threshold, gamma=GAMMA).groups:
+                if g.threshold_met:
+                    sub = CostStats(t=stats.t[pool], w=stats.w[pool])
+                    assert g.rate <= brute_force_min_lambda(sub, g.size).lambda_star + GAMMA
+                    rounds += 1
+                pool = np.setdiff1d(pool, g.members.indices)
+    assert rounds >= 100
 
 
 def test_stability_audit_flags_misassignment():
@@ -226,9 +279,9 @@ def _audit_one_move_at_a_time(result, stats, gamma):
         if earlier.rate > later.rate + tol:
             violations.append(StabilityViolation(
                 "rate_order", earlier.round, later.round, None, earlier.rate - later.rate - tol))
-        bits = earlier.members.bits
-        t_sum = float(stats.t[bits].sum())
-        w_sum = float(stats.w[bits].sum())
+        members = earlier.members.indices
+        t_sum = float(stats.t[members].sum())
+        w_sum = float(stats.w[members].sum())
         for j in later.members.indices:
             moves += 1
             joined = (t_sum + float(stats.t[j])) / (w_sum + float(stats.w[j]))
@@ -288,7 +341,7 @@ def test_stability_audit_single_group_vacuous():
     g = SegmentGroup(round=1, members=members, rate=2.5, cv=1.0, threshold_met=True)
     result = SegmentationResult(groups=(g,), cv_threshold=10.0, leftover_policy="aggregate")
     report = stability_audit(result, stats, GAMMA)
-    assert report.ok
+    assert not report.violations
     assert report.pairs_checked == 0
     assert report.moves_checked == 0
 
@@ -323,7 +376,7 @@ def test_stability_audit_refuses_gamma_not_positive(gamma):
         cv_threshold=10.0,
         leftover_policy="aggregate",
     )
-    assert stability_audit(clean, stats, GAMMA).ok
+    assert not stability_audit(clean, stats, GAMMA).violations
     with pytest.raises(ValueError, match="gamma must be > 0"):
         stability_audit(clean, stats, gamma)
 

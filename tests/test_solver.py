@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import brute_force_min_lambda, mask
 from ratecraft import solver
 from ratecraft.costs import group_lambda
 from ratecraft.segmentation import segment_population
 from ratecraft.solver import (
-    brute_force_min_lambda,
     feasibility_test,
     SolveResult,
     lambda_curve,
@@ -80,7 +80,7 @@ def test_feasibility_matches_stable_sort_reference(tw, data):
         want = _stable_sort_feasibility_test(stats, lam, m)
         assert (got is None) == (want is None)
         if got is not None:
-            assert np.array_equal(got.bits, want.bits)
+            assert got == want
 
 
 def test_solve_is_bit_equal_with_stable_sort_reference(monkeypatch):
@@ -95,7 +95,7 @@ def test_solve_is_bit_equal_with_stable_sort_reference(monkeypatch):
         assert a.lambda_star == b.lambda_star
         assert a.bracket == b.bracket
         assert a.iterations == b.iterations
-        assert np.array_equal(a.selection.bits, b.selection.bits)
+        assert a.selection == b.selection
 
 
 def _reference_bisection(stats, m, gamma):
@@ -150,7 +150,7 @@ def test_segmentation_is_bit_equal_with_stable_sort_reference(monkeypatch, synth
     slow = segment_population(synth_medium, **kw)
     assert len(fast.groups) == len(slow.groups)
     for a, b in zip(fast.groups, slow.groups):
-        assert np.array_equal(a.members.bits, b.members.bits)
+        assert a.members == b.members
         assert a.rate == b.rate
         assert a.cv == b.cv
 
@@ -221,7 +221,7 @@ def test_solver_certificate_and_bracket():
         m = int(rng.integers(1, stats.n + 1))
         res = solve_min_lambda(stats, m, GAMMA)
         v = stats.t - res.lambda_star * stats.w
-        assert float(v[res.selection.bits].sum()) <= 1e-12
+        assert float(v[res.selection.indices].sum()) <= 1e-12
         lo, hi = res.bracket
         assert hi - lo <= GAMMA
         assert res.selection.cardinality == m
@@ -255,8 +255,8 @@ def test_solver_exclusion_order():
         stats = _random_stats(rng, 15)
         res = solve_min_lambda(stats, 6, GAMMA)
         v = stats.t - res.lambda_star * stats.w
-        inside = v[res.selection.bits]
-        outside = v[~res.selection.bits]
+        inside = v[res.selection.indices]
+        outside = v[~mask(res.selection)]
         assert outside.min() >= inside.max()
 
 
@@ -268,7 +268,7 @@ def test_solver_scale_invariance():
     scaled_stats = CostStats(t=4.0 * stats.t, w=stats.w)
     scaled = solve_min_lambda(scaled_stats, 4, 4.0 * GAMMA)
     assert scaled.lambda_star == pytest.approx(4.0 * base.lambda_star, rel=1e-12)
-    assert np.array_equal(scaled.selection.bits, base.selection.bits)
+    assert scaled.selection == base.selection
     # generic positive scaling agrees within tolerances
     scaled3 = solve_min_lambda(CostStats(t=3.0 * stats.t, w=stats.w), 4, GAMMA)
     assert scaled3.lambda_star == pytest.approx(3.0 * base.lambda_star, abs=4 * GAMMA)

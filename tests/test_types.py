@@ -275,14 +275,14 @@ def test_selection_vector_rejects_out_of_range():
 def test_selection_from_integer_ndarray(dtype):
     sel = SelectionVector(6, np.array([4, 0, 2], dtype=dtype))
     assert sel.cardinality == 3
-    assert np.array_equal(sel.bits, [True, False, True, False, True, False])
+    assert sel.indices.tolist() == [0, 2, 4]
 
 
 def test_selection_from_python_iterables():
     for indices in ([4, 0, 2], (4, 0, 2), range(0, 6, 2), (i for i in [4, 0, 2])):
         sel = SelectionVector(6, indices)
         assert sel.cardinality == 3
-        assert np.array_equal(sel.bits, [True, False, True, False, True, False])
+        assert sel.indices.tolist() == [0, 2, 4]
 
 
 @pytest.mark.parametrize(
@@ -350,9 +350,8 @@ def test_selection_vector_matches_mask_rules(n, values, form):
         assert sel.n == n
         assert sel.indices.dtype == np.intp
         assert np.array_equal(sel.indices, np.flatnonzero(want))
-        assert np.array_equal(sel.bits, want)
         assert sel.cardinality == np.count_nonzero(want)
-        assert not sel.indices.flags.writeable and not sel.bits.flags.writeable
+        assert not sel.indices.flags.writeable
 
 
 def test_cost_stats_validation():
