@@ -249,7 +249,7 @@ def load_meter_csv(path) -> list[ConsumerSeries]:
     if breaks.size:  # the first consumer in file order with a break, at its first bad row
         r = breaks[0]
         _check_consecutive([dt.date.fromordinal(d) for d in ordinal[r:r + 2].tolist()],
-                           f"consumer {list(index)[consumer[r]]}")
+                           f"{path}: consumer {list(index)[consumer[r]]}")
     counts = np.bincount(consumer)
     stops = np.cumsum(counts)
     starts = stops - counts

@@ -96,11 +96,12 @@ def _strict_meter_rows(path):
     for cid, days in days_of.items():
         for (prev, _), (cur, _) in zip(days, days[1:]):
             if cur == prev:
-                raise ValueError(f"consumer {cid}: duplicate date {cur.isoformat()}")
+                raise ValueError(f"{path}: consumer {cid}: duplicate date {cur.isoformat()}")
             if cur < prev:
-                raise ValueError(f"consumer {cid}: dates out of order at {cur.isoformat()}")
+                raise ValueError(f"{path}: consumer {cid}: dates out of order at {cur.isoformat()}")
             if cur > prev + dt.timedelta(days=1):
-                raise ValueError(f"consumer {cid}: gap at {(prev + dt.timedelta(days=1)).isoformat()}")
+                gap = prev + dt.timedelta(days=1)
+                raise ValueError(f"{path}: consumer {cid}: gap at {gap.isoformat()}")
     return [ConsumerSeries(cid, HourlyMatrix(np.array([v for _, v in days]), days[0][0]))
             for cid, days in days_of.items()]
 
@@ -188,14 +189,17 @@ def test_meter_rejects_ids_that_break_csv_output(tmp_path, cid):
 
 
 def test_meter_gap(tmp_path):
-    rows = [
-        "a,2021-01-01," + _day_cells(1.0),
-        "a,2021-01-03," + _day_cells(1.0),
-    ]
+    # every date break names the file, then the consumer, as the price loader names its market
     path = tmp_path / "meter.csv"
-    path.write_text(_meter_lines(rows))
-    with pytest.raises(ValueError, match="consumer a: gap at 2021-01-02"):
-        load_meter_csv(path)
+    for dates, fault in [
+        (["2021-01-01", "2021-01-03"], "gap at 2021-01-02"),
+        (["2021-01-01", "2021-01-01"], "duplicate date 2021-01-01"),
+        (["2021-01-02", "2021-01-01"], "dates out of order at 2021-01-01"),
+    ]:
+        path.write_text(_meter_lines([f"a,{d}," + _day_cells(1.0) for d in dates]))
+        for load in (load_meter_csv, _strict_meter_rows):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: consumer a: {fault}')}$"):
+                load(path)
 
 
 def test_meter_zero_consumer(tmp_path):
@@ -939,7 +943,8 @@ def test_meter_reader_names_the_consumer_of_the_first_date_break(tmp_path):
     path = tmp_path / "meter.csv"
     path.write_text(_meter_lines(rows), encoding="utf-8")
     for load in (load_meter_csv, _strict_meter_rows):
-        with pytest.raises(ValueError, match=f"^consumer a: duplicate date {day[1]}$"):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: consumer a: duplicate date {day[1]}$"):
             load(path)
     path.write_text(_meter_lines(rows + [f"c,{day[3]},1_0," + _day_cells(1.0)[7:]]),
                     encoding="utf-8")

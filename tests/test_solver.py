@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import brute_force_min_lambda, mask
-from ratecraft import solver
+from ratecraft import segmentation, solver
 from ratecraft.costs import group_lambda
+from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.segmentation import segment_population
 from ratecraft.solver import (
     feasibility_test,
@@ -84,6 +85,7 @@ def test_feasibility_matches_stable_sort_reference(tw, data):
 
 
 def test_solve_is_bit_equal_with_stable_sort_reference(monkeypatch):
+    # the stable-sort kernel judges the tested midpoints: those in the band, and the last
     rng = np.random.default_rng(31)
     cases = [(_random_stats(rng, n), m) for n, m in [(1, 1), (9, 4), (40, 1), (40, 17), (40, 40)]]
     tied = CostStats(t=rng.integers(0, 5, 30).astype(float), w=rng.integers(1, 3, 30).astype(float))
@@ -117,33 +119,80 @@ def _reference_bisection(stats, m, gamma):
     return SolveResult(best_lam, best, iterations, (lo, hi))
 
 
+def _stepped(x, ulps):
+    """x moved by `ulps` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _near_tie_rates(draw):
+    """Consumers whose rates lie a few ulps apart, so groups' rates do too, and one far above."""
+    rate = draw(st.floats(0.5, 10.0))
+    w = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=11))
+    ulps = draw(st.lists(st.integers(-4, 4), min_size=len(w), max_size=len(w)))
+    far = draw(st.floats(1e-3, 1e3))
+    return [(_stepped(rate * wi, k), wi) for wi, k in zip(w, ulps)] + [(2.0 * rate * far, far)]
+
+
 @given(
     tw=st.one_of(
+        # small integers: ties, and lam* landing exactly on a midpoint
         st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), min_size=2, max_size=12),
-        st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(1e-3, 1e3)), min_size=2, max_size=12),
+        # floats with w across six decades and some t = 0, so lam* can be 0
+        st.lists(
+            st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), st.floats(1e-3, 1e3)),
+            min_size=2,
+            max_size=12,
+        ),
+        _near_tie_rates(),
     ),
-    gamma=st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]),
-    data=st.data(),
+    # the smallest gammas bisect down to float resolution, where the band is narrowest
+    gamma=st.one_of(st.sampled_from([5e-324, 1e-15, 1e-9, 1e-6, 1e-3, 0.5]), st.floats(1e-9, 0.5)),
+    m=st.one_of(st.sampled_from([1, 12]), st.integers(1, 12)),  # capped at n below
 )
-def test_solve_equals_the_reference_bisection_with_as_many_tests(tw, gamma, data):
-    # integer t and w put ties and midpoints that land exactly on a group's rate
+@example(tw=[(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)], gamma=1e-9, m=2)  # lam* = 0.5, a midpoint
+def test_solve_equals_the_reference_bisection_with_no_more_tests(tw, gamma, m):
     t, w = zip(*tw)
     stats = CostStats(t=t, w=w)
     assume(float(stats.ratios.max() - stats.ratios.min()) > gamma)
-    m = data.draw(st.integers(1, stats.n))
+    m = min(m, stats.n)
     calls = []
     test = solver.feasibility_test
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "feasibility_test", lambda *a: calls.append(a) or test(*a))
         got = solve_min_lambda(stats, m, gamma)
         tested = len(calls)
-        want = _reference_bisection(stats, m, gamma)
-    assert len(calls) == 2 * tested == 2 * (got.iterations + 1)
-    assert got.lambda_star == want.lambda_star and got.bracket == want.bracket
-    assert got.iterations == want.iterations and got.selection == want.selection
+    # the midpoints outside the band around Dinkelbach's rate are decided without a test
+    assert tested <= got.iterations + 1
+    assert got == _reference_bisection(stats, m, gamma)
+
+
+def test_solve_equals_the_reference_bisection_on_seeded_instances():
+    # a wider sweep than the derandomized examples above: groups other than the M lowest rates
+    rng = np.random.default_rng(20)
+    for k in range(400):
+        n = int(rng.integers(2, 40))
+        if k % 4 == 0:
+            t, w = rng.integers(0, 7, n), rng.integers(1, 5, n)
+        elif k % 4 == 1:
+            t, w = rng.uniform(0.0, 1e3, n) * (rng.random(n) < 0.8), 10.0 ** rng.uniform(-3, 3, n)
+        elif k % 4 == 2:
+            w = rng.uniform(1e-3, 1e3, n)
+            t = [_stepped(3.0 * wi, int(d)) for wi, d in zip(w, rng.integers(-4, 5, n))]
+            t[0] *= 2.0
+        else:
+            t, w = rng.uniform(1.0, 2.0, n), rng.uniform(0.5, 2.0, n)
+        stats = CostStats(t=t, w=w)
+        m = int(rng.choice([1, n, rng.integers(1, n + 1)]))
+        gamma = float(rng.choice([5e-324, 1e-15, 1e-9, 1e-6, 1e-3, 0.5]))
+        if float(stats.ratios.max() - stats.ratios.min()) > gamma:
+            assert solve_min_lambda(stats, m, gamma) == _reference_bisection(stats, m, gamma)
 
 
 def test_segmentation_is_bit_equal_with_stable_sort_reference(monkeypatch, synth_medium):
+    # the stable-sort kernel judges the tested midpoints: those in the band, and the last
     kw = dict(cv_threshold=8.0, size_grid=[10, 25, 50, 100, 200])
     fast = segment_population(synth_medium, **kw)
     monkeypatch.setattr(solver, "feasibility_test", _stable_sort_feasibility_test)
@@ -153,6 +202,30 @@ def test_segmentation_is_bit_equal_with_stable_sort_reference(monkeypatch, synth
         assert a.members == b.members
         assert a.rate == b.rate
         assert a.cv == b.cv
+
+
+def test_segmentation_is_bit_equal_with_the_reference_bisection(monkeypatch, synth_medium):
+    kw = dict(cv_threshold=8.0, size_grid=[10, 25, 50, 100, 200])
+    fast = segment_population(synth_medium, **kw)
+    monkeypatch.setattr(segmentation, "solve_min_lambda", _reference_bisection)
+    slow = segment_population(synth_medium, **kw)
+    assert len(fast.groups) == len(slow.groups)
+    for a, b in zip(fast.groups, slow.groups):
+        assert a.members == b.members
+        assert a.rate.hex() == b.rate.hex()
+        assert a.cv.hex() == b.cv.hex()
+
+
+def test_segmentation_makes_about_one_feasibility_test_a_solve(monkeypatch):
+    ds = synth_population(SynthSpec(n_consumers=400, n_days=60, seed=7))
+    solves, tests = [], []
+    solve, test = segmentation.solve_min_lambda, solver.feasibility_test
+    monkeypatch.setattr(segmentation, "solve_min_lambda", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(solver, "feasibility_test", lambda *a: tests.append(a) or test(*a))
+    segment_population(ds, cv_threshold=10.0)
+    assert len(solves) > 50
+    # one test per midpoint would be about 20 a solve
+    assert len(tests) <= 1.2 * len(solves)
 
 
 def test_solve_singleton_is_min_ratio():
