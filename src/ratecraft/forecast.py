@@ -133,7 +133,11 @@ def _require_usage(dataset: Dataset, u: SelectionVector, rows: np.ndarray, windo
 
 
 def fit_profile(profile: np.ndarray, train_days: int, start_weekday: int) -> GroupForecaster:
-    """Fit the AR(DEFAULT_AR_ORDER) group forecaster on the first train_days rows of a profile."""
+    """Fit the AR(DEFAULT_AR_ORDER) group forecaster on the first train_days rows of a profile.
+
+    Each weekday's shape is the mean of its active days' normalized rows, and a weekday with no
+    active day gets the mean of all of them. One bincount adds the rows in day order, as mean does.
+    """
     if train_days < MIN_TRAIN_DAYS:
         raise ValueError(f"training window too short: need at least {MIN_TRAIN_DAYS} days")
     train = profile[:train_days]
@@ -144,18 +148,14 @@ def fit_profile(profile: np.ndarray, train_days: int, start_weekday: int) -> Gro
     intercept, coeffs = fit_ar(totals, DEFAULT_AR_ORDER)
 
     normalized = train[active] / totals[active, None]
-    overall = normalized.mean(axis=0)
-    overall = overall / overall.sum()
     weekday_of_active = ((start_weekday + np.arange(train_days)) % 7)[active]
-    shapes = np.empty((7, HOURS))
-    for dow in range(7):
-        rows = normalized[weekday_of_active == dow]
-        if rows.size:
-            s = rows.mean(axis=0)
-            shapes[dow] = s / s.sum()
-        else:
-            shapes[dow] = overall
-    return GroupForecaster(intercept, coeffs, shapes)
+    cells = (weekday_of_active[:, None] * HOURS + np.arange(HOURS)).ravel()
+    sums = np.bincount(cells, weights=normalized.ravel(), minlength=7 * HOURS)
+    counts = np.bincount(weekday_of_active, minlength=7)
+    shapes = sums.reshape(7, HOURS) / np.maximum(counts, 1)[:, None]
+    if not counts.all():
+        shapes[counts == 0] = normalized.mean(axis=0)
+    return GroupForecaster(intercept, coeffs, shapes / shapes.sum(axis=1, keepdims=True))
 
 
 def predict_day(

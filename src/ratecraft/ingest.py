@@ -19,10 +19,10 @@ mark is skipped. The meter file is read by one reader, in one vectorized
 pass over its bytes, in chunks of whole lines. Readings in the writer's form
 (digits, '.', 4 digits) are decoded exactly by digit arithmetic; the lines
 with other readings go through ``np.loadtxt``. The reader names every fault
-itself: a malformed row by the path and its file row, a date break by its
-consumer. Its value block, grouped by consumer, is marked read-only and
-becomes the dataset's usage: each consumer's matrix is a view of its rows,
-and `Dataset.usage_stack` returns the block itself, so the usage is held once.
+itself: a malformed row by the path and its file row, a date break by the path
+and its consumer. Its value block, grouped by consumer, is marked read-only and
+becomes the dataset's usage: each consumer's matrix is a view of its rows, and
+`Dataset.usage_stack` returns the block itself, so the usage is held once.
 `synth_population` builds its usage the same way.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
@@ -207,7 +207,7 @@ def load_meter_csv(path) -> list[ConsumerSeries]:
     at a time, by the one meter reader, which names every fault itself: the
     first malformed row by the path and its file row (see `_meter_chunk`),
     then the first date break, in the first consumer to appear in the file
-    that has one, as ``consumer <id>: ...``.
+    that has one, as ``{path}: consumer <id>: ...``.
     """
     path = str(path)
     index: dict[str, int] = {}  # consumer id -> consumer number, in first-appearance order

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import make_dataset, mask, vacate_validate
@@ -222,6 +222,10 @@ def _weekday_shapes_by_masks(profile, train_days, start_weekday):
 @given(seed=st.integers(0, 2**32 - 1), days=st.integers(14, 60), extra=st.integers(0, 10),
        start_weekday=st.integers(0, 6), vacancy=st.floats(0.0, 0.95),
        scale=st.floats(-3.0, 3.0))
+# 8 active training days on 5 weekdays: two weekdays take the mean of all active days
+@example(seed=0, days=21, extra=3, start_weekday=2, vacancy=0.7, scale=0.0)
+# exactly one active training day: six weekdays take that day's shape
+@example(seed=0, days=14, extra=2, start_weekday=5, vacancy=0.95, scale=1.0)
 def test_fit_profile_weekday_shapes_equal_the_masked_loop(
         seed, days, extra, start_weekday, vacancy, scale):
     rng = np.random.default_rng(seed)

@@ -1,5 +1,5 @@
 """Static checks on the package source: no unused import, `__all__` equal to the imports,
-and an explicit encoding on every text file the package opens.
+an explicit encoding on every text file the package opens, and Python 3.10 grammar.
 
 There is no linter among the test dependencies, so these read the source with `ast`.
 """
@@ -93,3 +93,21 @@ def test_the_encoding_check_sees_each_call_form():
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _opens_file(n)]
     assert [c.lineno for c in calls] == [1, 2, 3, 4, 6, 7, 8]
     assert [c.lineno for c in calls if _lacks_encoding(c)] == [1, 3, 4, 7]
+
+
+PYTHON_FLOOR = (3, 10)  # requires-python in pyproject.toml
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_module_parses_as_the_oldest_supported_python(path):
+    """The module uses no syntax newer than Python 3.10, such as `except*`.
+
+    This checks grammar only: `feature_version` does not see a stdlib name or
+    argument added after 3.10, so CI's 3.10 leg remains the check for those.
+    """
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+def test_the_grammar_check_refuses_newer_syntax():
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=PYTHON_FLOOR)
