@@ -236,6 +236,28 @@ def test_fit_profile_weekday_shapes_equal_the_masked_loop(
     assert model.shapes.tobytes() == _weekday_shapes_by_masks(profile, days, start_weekday).tobytes()
 
 
+@pytest.mark.parametrize("vacant_weekdays", [(0, 4), (0, 1, 2, 3, 4, 6)])
+def test_fit_profile_weekdays_without_an_active_day_take_the_all_days_shape(vacant_weekdays):
+    """Built so the property's edge cases hold whatever a random stream draws: some weekdays
+    have no active training day, and in the second case exactly one day is active."""
+    days, start_weekday = 21, 2
+    weekdays = (start_weekday + np.arange(days + 3)) % 7
+    profile = np.random.default_rng(0).uniform(0.5, 2.0, (days + 3, 24))
+    profile[:days][np.isin(weekdays[:days], vacant_weekdays)] = 0.0
+    if len(vacant_weekdays) == 6:
+        profile[:days][weekdays[:days] == 5] = 0.0
+        profile[10] = np.arange(1.0, 25.0)  # the one active training day
+        assert weekdays[10] == 5
+    active = profile[:days].sum(axis=1) > 0
+    assert set(weekdays[:days][active]) == set(range(7)) - set(vacant_weekdays)
+    model = fit_profile(profile, days, start_weekday)
+    assert model.shapes.tobytes() == _weekday_shapes_by_masks(profile, days, start_weekday).tobytes()
+    rows = profile[:days][active] / profile[:days][active].sum(axis=1, keepdims=True)
+    overall = rows.mean(axis=0)
+    for dow in vacant_weekdays:
+        np.testing.assert_allclose(model.shapes[dow], overall / overall.sum(), rtol=1e-12)
+
+
 def test_fit_size_independence(synth_medium):
     one = SelectionVector(synth_medium.n_consumers, [0])
     many = _everyone(synth_medium)
