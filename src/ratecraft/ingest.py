@@ -24,6 +24,11 @@ and its consumer. Its value block, grouped by consumer, is marked read-only and
 becomes the dataset's usage: each consumer's matrix is a view of its rows, and
 `Dataset.usage_stack` returns the block itself, so the usage is held once.
 `synth_population` builds its usage the same way.
+The meter file is written in one vectorized pass as well, in chunks of about
+256 KiB of lines: the bytes of each line whose readings are all in the writer's
+form are built by digit arithmetic and written as they are; a line with a
+-0.0, a value off the 4-decimal grid, or a value of 10**8 or more is written
+by ``%.4f``, so every byte is that format's.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
 ``#unit=usd_per_mwh``, then header ``date,market,h00,...,h23`` with market
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import codecs
 import datetime as dt
+import functools
 import io
 import math
 import os
@@ -55,7 +61,8 @@ METER_HEADER = ["consumer_id", "date"] + _HOUR_COLS
 PRICE_HEADER = ["date", "market"] + _HOUR_COLS
 _METER_HEADER_LINE = ",".join(METER_HEADER)
 # One written row: two text fields, then 24 values with 4 fractional digits.
-_ROW = "%s,%s," + ",".join(["%.4f"] * HOURS) + "\r\n"
+_READINGS = ",".join(["%.4f"] * HOURS) + "\r\n"
+_ROW = "%s,%s," + _READINGS
 
 _UNIT_SCALE = {"cents_per_kwh": 1.0, "usd_per_mwh": 0.1}
 # The one date form: date.fromisoformat also takes "20210105" from Python 3.11 on.
@@ -79,6 +86,32 @@ _READING_FORMS = {
         np.tile(np.array([10] * w + [1] + [10] * 4 + [1], np.uint8), HOURS)[:-1])
     for w in range(1, 9)
 }
+
+# The meter writer builds lines about this many bytes at a time, each line counted at its
+# widest: its id, then _LINE_TAIL bytes; one line may be longer. Its numeric temporaries
+# are a few times that. Chunks of 1 MiB wrote no faster, and a process that went on to
+# load meter files peaked about 1 MiB higher.
+_WRITE_CHUNK = 1 << 18
+_LINE_TAIL = 12 + HOURS * (8 + 6) + 1
+# The byte the meter writer pads its lines with before one mask drops every pad: '"', which
+# no written line holds.
+_PAD = 34
+# 10**8's bits as a uint64: the writer's digits cover readings below it
+_BITS_1E8 = np.float64(10**8).view(np.uint64)
+
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """Four ASCII digits an entry, read as one uint32: k < 10**4 at entry k with its leading
+    zeros; at entry 10**4 + k with them as pad bytes, save the last digit; and four pad
+    bytes at entry 2 * 10**4. Built at the first meter write, so that importing the module
+    costs nothing more."""
+    k = np.arange(10**4, dtype=np.uint16)[:, None]
+    digits = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48).astype(np.uint8)
+    padded = np.where(k < [1000, 100, 10, 0], np.uint8(_PAD), digits)
+    table = np.concatenate([digits, padded, np.full((1, 4), _PAD, np.uint8)])
+    return table.view(np.uint32).ravel()
+
 
 # Default chronological split: three quarters of the days are history.
 DEFAULT_TRAIN_SPLIT = 0.75
@@ -454,24 +487,152 @@ def atomic_write(path, write_rows):
 
 
 def write_meter_csv(consumers: list[ConsumerSeries], path):
-    """Write a meter CSV; an id that is no plain CSV field is refused before anything is written."""
+    """Write a meter CSV that loads back as `consumers`, in one byte pass a chunk at a time.
+
+    Refused with a ValueError naming `path`, before any file is made: no consumers, an id
+    that holds a comma, a double quote or a line break, an id that is not UTF-8 text (a
+    lone surrogate), and an id given twice.
+
+    A line whose 24 readings are all in the writer's form is built as bytes: each reading
+    x gives m = rint(x * 10**4), in the form when m / 10**4 is x, x is not -0.0 and m has
+    at most 12 digits (8 before the point), for then m's digits are what ``%.4f`` writes
+    of x. Any other line (one with a -0.0, an off-grid value such as 0.00005, or a value
+    of 10**8 or more) is written by ``%.4f``, so every byte is the `_ROW` format's.
+    """
+    if not consumers:
+        raise ValueError(f"{path}: cannot write a meter file of no consumers")
+    ids: dict[str, bytes] = {}
     for c in consumers:
-        if _breaks_csv(c.consumer_id):
-            raise ValueError(f"{path}: cannot write consumer id {c.consumer_id!r}: it contains "
+        cid = c.consumer_id
+        if _breaks_csv(cid):
+            raise ValueError(f"{path}: cannot write consumer id {cid!r}: it contains "
                              "a comma, quote or line break")
+        if cid in ids:
+            raise ValueError(f"{path}: cannot write consumer id {cid!r} twice")
+        try:
+            ids[cid] = cid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: cannot write consumer id {cid!r}: it is not "
+                             "UTF-8 text") from None
 
     def _write(fh):
-        fh.write(_METER_HEADER_LINE + "\r\n")
-        dates_of = {}  # (start date, days) -> date texts, shared by consumers over one range
+        out = fh.buffer  # the lines are bytes; nothing is written to `fh` as text
+        out.write(_METER_HEADER_LINE.encode() + b"\r\n")
+        dates_of = {}  # (start date, days) -> (days, 10) date bytes, shared over one range
         for c in consumers:
             span = (c.usage.start_date, c.usage.n_days)
             if span not in dates_of:
-                dates_of[span] = _iso_dates(c.usage)
-            cid = c.consumer_id
-            fh.write("".join([_ROW % (cid, date, *cells)
-                              for date, cells in zip(dates_of[span], c.usage.values.tolist())]))
+                dates_of[span] = np.frombuffer("".join(_iso_dates(c.usage)).encode(),
+                                               np.uint8).reshape(-1, 10)
+        for pieces in _write_chunks(consumers, ids):
+            _write_lines(out, [(ids[c.consumer_id], c.usage.values[a:b],
+                                dates_of[c.usage.start_date, c.usage.n_days][a:b])
+                               for c, a, b in pieces])
 
     atomic_write(path, _write)
+
+
+def _write_chunks(consumers, ids):
+    """`consumers`' rows as chunks of (consumer, first row, stop row) pieces, in file order.
+
+    A chunk holds at most `_WRITE_CHUNK` bytes of lines counted at their widest (the
+    chunk's longest id, then `_LINE_TAIL`), or one line: a consumer may be split.
+    """
+    pieces, rows, widest = [], 0, 0
+    for c in consumers:
+        a, days = 0, c.usage.n_days
+        while a < days:
+            widest = max(widest, len(ids[c.consumer_id]) + _LINE_TAIL)
+            room = max(1, _WRITE_CHUNK // widest) - rows
+            if room <= 0:
+                yield pieces
+                pieces, rows, widest = [], 0, 0
+                continue
+            b = min(days, a + room)
+            pieces.append((c, a, b))
+            rows += b - a
+            a = b
+    if pieces:
+        yield pieces
+
+
+def _write_lines(out, pieces):
+    """Write the meter lines of `pieces`, each (id bytes, (rows, 24) readings, (rows, 10) dates)."""
+    values = np.concatenate([v for _, v, _ in pieces]) if len(pieces) > 1 else pieces[0][1]
+    buf, head, fast = _padded_lines(pieces, values)
+    keep = buf != _PAD
+    lines = buf.reshape(-1) if keep.all() else buf[keep]
+    if fast.all():
+        out.write(lines)
+        return
+    stops = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    begin = 0
+    for i in np.flatnonzero(~fast).tolist():
+        out.write(lines[begin:stops[i - 1] if i else 0])
+        text = _READINGS % tuple(values[i].tolist())
+        out.write(buf[i, :head][keep[i, :head]].tobytes() + text.encode())
+        begin = stops[i]
+    out.write(lines[begin:])
+
+
+def _padded_lines(pieces, values):
+    """The lines of `pieces` with `values` as their readings, one a row, laid out at the
+    widest line and padded with `_PAD`; the bytes before a line's first reading; and which
+    lines are in the writer's form. The other lines' readings are to be written by %.4f.
+
+    Each line is the id right-aligned in the longest id, ",YYYY-MM-DD,", then 24 readings
+    of as many integer digits as the widest reading has, '.', 4 digits and ',', where the
+    last ',' is CR and LF follows. Pads lie in front of an id and of the integer digits.
+    """
+    with np.errstate(over="ignore"):  # a reading near float64's top: its line is not fast
+        m = values * 10**4
+    np.rint(m, out=m)
+    # 0 <= x < 10**8, -0.0 not included, as one compare: read as a uint64, the bits of such
+    # an x lie below those of 10**8, and the sign bit puts those of -0.0 above them
+    fast = ((m / 10**4 == values) & (values.view(np.uint64) < _BITS_1E8)).all(axis=1)
+    if not fast.all():
+        m[~fast] = 0
+    r = m.astype(np.int64)  # less 10**4 q below: the 4 fraction digits
+    del m  # one chunk's temporaries are at most about five of its (rows, 24) arrays
+    q = r // 10**4  # the integer part; np.divmod is several times slower than // here
+    r -= q * 10**4
+    width = len(str(int(q.max())))  # at most 8
+
+    p = max(len(cid) for cid, _, _ in pieces)
+    slot = width + 6
+    form = np.full(p + 12 + HOURS * slot + 1, _PAD, np.uint8)
+    form[[p, p + 11]] = 44
+    form[p + 12:-1].reshape(HOURS, slot)[:, [width, -1]] = 46, 44
+    form[-2:] = 13, 10
+    buf = np.empty((len(values), len(form)), np.uint8)
+    buf[:] = form
+    top = 0
+    for cid, v, dates in pieces:
+        bottom = top + len(v)
+        buf[top:bottom, p - len(cid):p] = np.frombuffer(cid, np.uint8)
+        buf[top:bottom, p + 1:p + 11] = dates
+        top = bottom
+    ints = buf[:, p + 12:-1].reshape(len(values), HOURS, slot)[:, :, :width]
+    if width > 4:  # the leading digits, then the last four with their zeros kept
+        hi = q // 10**4
+        q -= hi * 10**4
+        lead = hi > 0
+        ints[:, :, :-4] = _digit_bytes(np.where(lead, hi + 10**4, 2 * 10**4))[:, :, 8 - width:]
+        q[~lead] += 10**4
+    else:
+        q += 10**4
+    low = min(width, 4)
+    ints[:, :, -low:] = _digit_bytes(q)[:, :, 4 - low:]
+    # the 4 fraction digits of a reading as one uint32, in place: a view that is unaligned
+    fraction = np.ndarray((len(values), HOURS), np.uint32, buf, offset=p + 13 + width,
+                          strides=(len(form), slot))
+    fraction[:] = np.take(_digit_groups(), r)
+    return buf, p + 12, fast
+
+
+def _digit_bytes(index: np.ndarray) -> np.ndarray:
+    """The 4 bytes `_digit_groups` holds at each entry of `index`, as index.shape + (4,) bytes."""
+    return np.take(_digit_groups(), index).view(np.uint8).reshape(*index.shape, 4)
 
 
 def write_price_csv(prices: PriceSeries, path):

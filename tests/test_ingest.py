@@ -590,6 +590,111 @@ def test_meter_ids_with_other_punctuation_round_trip(tmp_path):
     assert [c.consumer_id for c in load_meter_csv(tmp_path / "meter.csv")] == ids
 
 
+@pytest.mark.parametrize("days_later", [2, 0], ids=["would load as one", "would not load"])
+def test_meter_writer_refuses_an_id_given_twice(tmp_path, days_later):
+    consumers = [ConsumerSeries("a", _series(START, 2)), ConsumerSeries("b", _series(START, 2)),
+                 ConsumerSeries("a", _series(START + dt.timedelta(days=days_later), 2))]
+    path = tmp_path / "meter.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot write consumer id 'a' "
+                                         "twice$"):
+        write_meter_csv(consumers, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_meter_writer_refuses_no_consumers(tmp_path):
+    """A header-only file is one the loader refuses (no meter rows), so it is not written."""
+    path = tmp_path / "meter.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot write a meter file "
+                                         "of no consumers$"):
+        write_meter_csv([], path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_meter_writer_refuses_an_id_that_is_not_utf8_text(tmp_path):
+    path = tmp_path / "meter.csv"
+    consumers = [ConsumerSeries("ok", _series(START, 2)),
+                 ConsumerSeries("a\ud800", _series(START, 2))]
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot write consumer id "
+                                         r"'a\\ud800': it is not UTF-8 text$"):
+        write_meter_csv(consumers, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+_REFERENCE_ROW = "%s,%s," + ",".join(["%.4f"] * 24) + "\r\n"
+
+
+def _reference_meter_bytes(consumers):
+    """The meter writer as it was, one `%` format a row: the byte-for-byte reference."""
+    lines = [",".join(METER_HEADER) + "\r\n"]
+    for c in consumers:
+        dates = [c.usage.date_of_row(r).isoformat() for r in range(c.usage.n_days)]
+        lines += [_REFERENCE_ROW % (c.consumer_id, date, *cells)
+                  for date, cells in zip(dates, c.usage.values.tolist())]
+    return "".join(lines).encode("utf-8")
+
+
+# Readings the byte pass leaves to %.4f: -0.0, values off the 4-decimal grid, and values of
+# 10**8 or more, up to the 1e99 that `synth --base-kwh 1e100` can give.
+_NOT_IN_WRITER_FORM = [-0.0, 0.00005, 1 / 3, 1e8, 1e8 + 0.5, 1e20, 1e99]
+
+
+@st.composite
+def _writer_form_reading(draw):
+    """m / 10**4 for an m of 1 to 8 integer digits, often at the edge of a power of ten."""
+    low, high = _widths(draw(st.integers(1, 8)))
+    return draw(st.one_of(st.sampled_from([low, low + 1, high - 1, high]),
+                          st.integers(low, high))) / 10**4
+
+
+@st.composite
+def _consumers_to_write(draw):
+    """Consumers over different dates and day counts, with ids of any length and script, and
+    a chunk size for the writer: one line, at least three lines, or the default."""
+    ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters=',"\r\n'),
+                                min_size=1, max_size=120), min_size=1, max_size=4, unique=True))
+    consumers = []
+    for cid in ids:
+        days = draw(st.integers(1, 3))
+        values = np.array(draw(st.lists(_writer_form_reading(), min_size=days * 24,
+                                        max_size=days * 24)))
+        for i, x in draw(st.lists(st.tuples(st.integers(0, days * 24 - 1),
+                                            st.sampled_from(_NOT_IN_WRITER_FORM)), max_size=2)):
+            values[i] = x
+        if not values.sum() > 0:
+            values[-1] = 1.0
+        start = START + dt.timedelta(days=draw(st.integers(-800, 800)))
+        consumers.append(ConsumerSeries(cid, HourlyMatrix(values.reshape(days, 24), start)))
+    longest = max(len(cid.encode("utf-8")) for cid in ids)
+    chunk = draw(st.sampled_from([1, 3 * (longest + ingest._LINE_TAIL), ingest._WRITE_CHUNK]))
+    return consumers, chunk
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_consumers_to_write())
+def test_meter_writer_bytes_equal_the_row_format(tmp_path, case):
+    """Every byte is the `%.4f` row format's, however the lines fall into chunks."""
+    consumers, chunk = case
+    path = tmp_path / "meter.csv"
+    with mock.patch.object(ingest, "_WRITE_CHUNK", chunk):
+        write_meter_csv(consumers, path)
+    assert path.read_bytes() == _reference_meter_bytes(consumers)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_synth_writes_the_row_format_bytes_in_a_fresh_process(tmp_path, seed):
+    """The CLI path end to end: `ratecraft synth` in a child writes the reference bytes."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-m", "ratecraft", "synth", "--n", "200",
+                            "--days", "120", "--seed", str(seed), "--out-dir", str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    ds = synth_population(SynthSpec(n_consumers=200, n_days=120, seed=seed))
+    assert (tmp_path / "meter.csv").read_bytes() == _reference_meter_bytes(ds.consumers)
+
+
 def _loaded(load, path):
     """What a meter loader gives: ids, start dates and value bits in order, or its error text."""
     try:
