@@ -20,9 +20,11 @@ pass over its bytes, in chunks of whole lines. Readings in the writer's form
 (digits, '.', 4 digits) are decoded exactly by digit arithmetic; the lines
 with other readings go through ``np.loadtxt``. The reader names every fault
 itself: a malformed row by the path and its file row, a date break by the path
-and its consumer. Its value block, grouped by consumer, is marked read-only and
-becomes the dataset's usage: each consumer's matrix is a view of its rows, and
-`Dataset.usage_stack` returns the block itself, so the usage is held once.
+and its consumer. Its masks only mark suspect rows; one row check, the one
+authority, finds the first faulty row among them and words its fault. Its value
+block, grouped by consumer, is marked read-only and becomes the dataset's usage:
+each consumer's matrix is a view of its rows, and `Dataset.usage_stack` returns
+the block itself, so the usage is held once.
 `synth_population` builds its usage the same way.
 The meter file is written in one vectorized pass as well, in chunks of about
 256 KiB of lines: the bytes of each line whose readings are all in the writer's
@@ -335,13 +337,14 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
     m < 2**53 for w <= 8. np.loadtxt reads the other lines.
 
     Names every fault itself. A byte that is not UTF-8 is refused with `path`
-    and its file row.
-    Each fault `_check_meter_row` raises is found as a mask over the lines,
-    and that function raises the error of the first faulty row, naming `path`
-    and its file row.
+    and its file row. Masks mark suspect lines, every faulty line among them;
+    a refused `_readings` call, or a chunk with a double quote or an inner
+    carriage return, makes all of its lines suspect. `_check_meter_row`, the
+    one authority, checks the suspects in file order and raises the error of
+    the first faulty row, naming `path` and its file row.
     """
     a = np.frombuffer(buf, np.uint8)
-    if a.max() >= 0x80:
+    if not buf.isascii():
         _decode(buf, path, lineno)
     ends = np.flatnonzero(a == 10)
     cr = a[ends - 1] == 13
@@ -352,13 +355,11 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
 
     head = sliding_window_view(a, _HEAD)[starts]
     id_end = starts + (head == 44).argmax(axis=1)  # each line's first comma: the id comma
-    far = np.flatnonzero((head != 44).all(axis=1))  # ids of _HEAD bytes or more
+    far = np.flatnonzero(a[id_end] != 44)  # no comma in the head: ids of _HEAD bytes or more
     id_end[far] = [buf.find(b",", s) for s in starts[far].tolist()]
     comma = id_end - starts  # the id's length in bytes
-    bad = comma == 0  # the lines with a fault: so far, those with an empty id
-    if (a == 34).any() or np.count_nonzero(a == 13) != np.count_nonzero(cr):
-        stray = np.flatnonzero((a == 34) | (a == 13))  # a quote; a carriage return inside a line
-        bad |= np.searchsorted(stray, stops) > np.searchsorted(stray, starts)
+    # So far an empty id, or every line of a chunk with a quote or a carriage return inside a line
+    suspect = (comma == 0) | (b'"' in buf or buf.count(b"\r") != np.count_nonzero(cr))
     date = sliding_window_view(a, 11)[id_end + 1]  # YYYY-MM-DD and a comma
     digits = date[:, _DATE_DIGITS] - 48
     plain = (digits < 10).all(axis=1) & (date[:, [4, 7]] == 45).all(axis=1) & (date[:, 10] == 44)
@@ -371,7 +372,7 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
             except ValueError:  # no such day, or key 0 of a date not in the YYYY-MM-DD form
                 ordinal_of[key] = 0
     ordinals = np.array([ordinal_of[k] for k in keys.tolist()], np.int32)[inverse]
-    bad |= ordinals == 0
+    suspect |= ordinals == 0
 
     out = np.empty((len(starts), HOURS))
     begin = id_end + 12  # the first reading
@@ -392,25 +393,21 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
         m /= 10**4
         out[at] = m  # rows not ok are read again below
         fast[at[~ok]] = False
-    other = np.flatnonzero(~fast & ~bad)
+    other = np.flatnonzero(~fast & ~suspect)
     if other.size:
         texts = [buf[s:e].decode("utf-8") for s, e in zip(starts[other].tolist(),
                                                            stops[other].tolist())]
         try:
             out[other] = _readings(texts)
-        except ValueError:  # read line by line to find the lines _readings refuses
-            for r, text in zip(other.tolist(), texts):
-                try:
-                    out[r] = _readings([text])[0]
-                except ValueError:
-                    bad[r] = True
-        checked = out[other]
-        bad[other] |= ~np.isfinite(checked).all(axis=1) | (checked < 0).any(axis=1)
-    if bad.any():
-        r = int(bad.argmax())
-        row = lineno + int(line[r])
-        _check_meter_row(buf[starts[r]:stops[r]].decode("utf-8"), row, path)
-        raise AssertionError(f"{path}: row {row} is marked faulty but passes the row check")
+        except ValueError:  # every line of the call is suspect
+            suspect[other] = True
+        else:
+            checked = out[other]
+            suspect[other] = ~np.isfinite(checked).all(axis=1) | (checked < 0).any(axis=1)
+    for r in np.flatnonzero(suspect).tolist():  # in file order: the first faulty row raises
+        _check_meter_row(buf[starts[r]:stops[r]].decode("utf-8"), lineno + int(line[r]), path)
+    if suspect.any():
+        raise AssertionError(f"{path}: the suspect rows from row {lineno} on pass the row check")
 
     # The lines that start a run: an id of another length or other bytes than the last line's,
     # or one of _HEAD bytes or more. A run split in two still maps to one consumer, by its id.
@@ -751,7 +748,8 @@ def align(consumers: list[ConsumerSeries], prices: PriceSeries, split: float) ->
         first = matrix.row_of_date(start)
         return matrix.slice_days(first, first + total)
 
-    cut_consumers = tuple(ConsumerSeries(c.consumer_id, cut(c.usage)) for c in consumers)
+    cut_consumers = tuple(c if (usage := cut(c.usage)) is c.usage  # kept whole: no second sum
+                          else ConsumerSeries(c.consumer_id, usage) for c in consumers)
     cut_prices = PriceSeries(cut(prices.day_ahead), cut(prices.real_time))
     train = _train_days(split, total)
     return Dataset(cut_consumers, cut_prices, train_days=train, validate_days=total - train)

@@ -307,16 +307,17 @@ def test_align_shares_series_that_span_the_common_range():
     prices = PriceSeries(_series(start, 6, 3.0), _series(start, 6, 3.0))
     ds = align(consumers, prices, split=0.5)
     for before, after in zip(consumers, ds.consumers):
-        assert after.usage.values is before.usage.values
+        assert after is before
     assert ds.prices.day_ahead.values is prices.day_ahead.values
 
     longer = ConsumerSeries("c", _series(dt.date(2020, 12, 30), 9, 2.0))
     ds = align(consumers + [longer], prices, split=0.5)
+    assert ds.consumers[2] is not longer
     cut = ds.consumers[2].usage
     assert (cut.start_date, cut.n_days) == (start, 6)
     assert cut.values is not longer.usage.values
     assert np.array_equal(cut.values, longer.usage.values[2:8])
-    assert ds.consumers[0].usage.values is consumers[0].usage.values
+    assert ds.consumers[0] is consumers[0]
 
 
 def test_align_split_rounding():
@@ -791,8 +792,8 @@ def _meter_texts(draw):
     return eol.join([draw(st.sampled_from(_HEADERS))] + rows) + draw(st.sampled_from([eol, ""]))
 
 
-@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                                   HealthCheck.too_slow])
+@settings(max_examples=max(400, settings.default.max_examples),
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(text=_meter_texts())
 def test_meter_loader_equals_row_parser(tmp_path, text):
     path = tmp_path / "meter.csv"
@@ -824,8 +825,8 @@ def _written_files(draw):
     return consumers, draw(st.sampled_from([1, 7, 300, 1 << 19]))
 
 
-@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                                   HealthCheck.too_slow])
+@settings(max_examples=max(150, settings.default.max_examples),
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(case=_written_files())
 def test_bulk_reader_equals_row_parser_on_every_written_file(tmp_path, case):
     """Every file the writer writes, whatever the byte length of its ids, loads to the same bytes."""
@@ -860,7 +861,8 @@ def test_four_decimals_are_m_over_ten_thousand_for_every_m_below_a_million():
     assert (m / 10**4).tobytes() == np.array([float(_reading(k)) for k in range(10**6)]).tobytes()
 
 
-@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=max(200, settings.default.max_examples),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3), st.data()),
                       min_size=1, max_size=6))
 def test_bulk_reader_decodes_readings_to_the_double_float_reads(tmp_path, lines):
@@ -1037,6 +1039,54 @@ def test_meter_reader_names_the_row_of_each_fault(tmp_path, line, message):
             for load in (load_meter_csv, _strict_meter_rows):
                 with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
                     load(path)
+
+
+_FAULTS = {"date": "bad date '2021-02-30'", "id": "empty consumer id",
+           "reading": "non-numeric reading", "quote": "double quote or carriage return",
+           "cr": "double quote or carriage return"}
+# Faults marked on their own line (or on the lines of the np.loadtxt call that refuses them),
+# against faults that make every line of their chunk suspect
+_FAULT_PAIRS = [(a, b) for a in ("date", "id", "reading") for b in ("quote", "cr")]
+
+
+def _meter_row(day, fault=None):
+    """Consumer a's row `day` days after START: readings np.loadtxt reads on even days, in the
+    writer's form on odd days; with one fault of kind `fault`, if given."""
+    cid, date = "a", (START + dt.timedelta(days=day)).isoformat()
+    cells = ["1.5" if day % 2 == 0 else "1.0000"] * 24
+    if fault == "date":
+        date = "2021-02-30"
+    elif fault == "id":
+        cid = ""
+    elif fault == "reading":
+        cells[5] = "x"
+    elif fault == "quote":
+        cells[3] = f'"{cells[3]}"'
+    elif fault == "cr":
+        cells[7] += "\r"
+    return ",".join([cid, date] + cells)
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 19])
+@pytest.mark.parametrize("first, second", _FAULT_PAIRS + [(b, a) for a, b in _FAULT_PAIRS])
+def test_meter_reader_names_the_first_of_two_faults_of_two_kinds(tmp_path, first, second, chunk):
+    """Valid rows with faults of two kinds at rows 5 and 27, one marked on its own line and one
+    that makes its chunk suspect, in either order: row 5 is named, whether both faults lie in
+    one chunk or in two."""
+    rows = [_meter_row(day) for day in range(30)]
+    rows[3], rows[25] = _meter_row(3, first), _meter_row(25, second)
+    path = tmp_path / "meter.csv"
+    path.write_bytes(_meter_lines(rows).encode("utf-8"))
+    expected = f"{path}: {_FAULTS[first]} at row 5"
+    assert _loaded(_strict_meter_rows, path) == expected
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        with open(path, "rb") as fh:
+            fh.readline()
+            ends = np.cumsum([c.count(b"\n") for c in ingest._line_chunks(fh)])
+        assert ends[0] > 3  # valid rows come before row 5 in its chunk
+        chunk_of = np.searchsorted(ends, [3, 25], "right")
+        assert (chunk_of[0] < chunk_of[1]) == (chunk == 1000)
+        assert _loaded(load_meter_csv, path) == expected
 
 
 def test_meter_reader_names_the_consumer_of_the_first_date_break(tmp_path):
