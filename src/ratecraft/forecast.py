@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import consumer_stats
 from .solver import DEFAULT_GAMMA, solve_min_lambda
-from .types import HOURS, Dataset, ForecastErrorModel, SelectionVector, _readonly
+from .types import HOURS, Dataset, ForecastErrorModel, SelectionVector, _count, _readonly
 
 DEFAULT_AR_ORDER = 7  # one week of lags
 MIN_TRAIN_DAYS = 14  # every weekday seen at least twice
@@ -258,6 +258,8 @@ def cv_curve(
     reproducible and independent of evaluation order. Sizes must be distinct,
     since each has one band.
     """
+    sizes = [_count(m, "each of sizes") for m in sizes]
+    n_random_trials = _count(n_random_trials, "n_random_trials")
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
     if n_random_trials < 1:

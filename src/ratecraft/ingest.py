@@ -26,11 +26,11 @@ block, grouped by consumer, is marked read-only and becomes the dataset's usage:
 each consumer's matrix is a view of its rows, and `Dataset.usage_stack` returns
 the block itself, so the usage is held once.
 `synth_population` builds its usage the same way.
-The meter file is written in one vectorized pass as well, in chunks of about
-256 KiB of lines: the bytes of each line whose readings are all in the writer's
-form are built by digit arithmetic and written as they are; a line with a
--0.0, a value off the 4-decimal grid, or a value of 10**8 or more is written
-by ``%.4f``, so every byte is that format's.
+The meter file is written in one vectorized pass as well, in chunks of whole
+consumers of about 256 KiB of lines. A chunk whose readings are all in the
+writer's form is built as bytes by digit arithmetic; a chunk holding a -0.0, a
+value off the 4-decimal grid, or a value of 10**8 or more is written whole by
+``%.4f``. Either way every byte is that format's.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
 ``#unit=usd_per_mwh``, then header ``date,market,h00,...,h23`` with market
@@ -63,8 +63,7 @@ METER_HEADER = ["consumer_id", "date"] + _HOUR_COLS
 PRICE_HEADER = ["date", "market"] + _HOUR_COLS
 _METER_HEADER_LINE = ",".join(METER_HEADER)
 # One written row: two text fields, then 24 values with 4 fractional digits.
-_READINGS = ",".join(["%.4f"] * HOURS) + "\r\n"
-_ROW = "%s,%s," + _READINGS
+_ROW = "%s,%s," + ",".join(["%.4f"] * HOURS) + "\r\n"
 
 _UNIT_SCALE = {"cents_per_kwh": 1.0, "usd_per_mwh": 0.1}
 # The one date form: date.fromisoformat also takes "20210105" from Python 3.11 on.
@@ -90,9 +89,9 @@ _READING_FORMS = {
 }
 
 # The meter writer builds lines about this many bytes at a time, each line counted at its
-# widest: its id, then _LINE_TAIL bytes; one line may be longer. Its numeric temporaries
-# are a few times that. Chunks of 1 MiB wrote no faster, and a process that went on to
-# load meter files peaked about 1 MiB higher.
+# widest: its id, then _LINE_TAIL bytes; one consumer's lines may be more. Its numeric
+# temporaries are a few times that. Chunks of 1 MiB wrote no faster, and a process that
+# went on to load meter files peaked about 1 MiB higher.
 _WRITE_CHUNK = 1 << 18
 _LINE_TAIL = 12 + HOURS * (8 + 6) + 1
 # The byte the meter writer pads its lines with before one mask drops every pad: '"', which
@@ -490,11 +489,12 @@ def write_meter_csv(consumers: list[ConsumerSeries], path):
     that holds a comma, a double quote or a line break, an id that is not UTF-8 text (a
     lone surrogate), and an id given twice.
 
-    A line whose 24 readings are all in the writer's form is built as bytes: each reading
-    x gives m = rint(x * 10**4), in the form when m / 10**4 is x, x is not -0.0 and m has
-    at most 12 digits (8 before the point), for then m's digits are what ``%.4f`` writes
-    of x. Any other line (one with a -0.0, an off-grid value such as 0.00005, or a value
-    of 10**8 or more) is written by ``%.4f``, so every byte is the `_ROW` format's.
+    The lines go out in chunks of whole consumers (`_write_chunks`). A chunk whose readings
+    are all in the writer's form is built as bytes: each reading x gives m = rint(x * 10**4),
+    in the form when m / 10**4 is x, x is not -0.0 and m has at most 12 digits (8 before
+    the point), for then m's digits are what ``%.4f`` writes of x. Any other chunk (one
+    with a -0.0, an off-grid value such as 0.00005, or a value of 10**8 or more) is written
+    line by line by ``%.4f``, so every byte is the `_ROW` format's.
     """
     if not consumers:
         raise ValueError(f"{path}: cannot write a meter file of no consumers")
@@ -521,74 +521,55 @@ def write_meter_csv(consumers: list[ConsumerSeries], path):
             if span not in dates_of:
                 dates_of[span] = np.frombuffer("".join(_iso_dates(c.usage)).encode(),
                                                np.uint8).reshape(-1, 10)
-        for pieces in _write_chunks(consumers, ids):
-            _write_lines(out, [(ids[c.consumer_id], c.usage.values[a:b],
-                                dates_of[c.usage.start_date, c.usage.n_days][a:b])
-                               for c, a, b in pieces])
+        for chunk in _write_chunks(consumers, ids):
+            buf = _padded_lines([(ids[c.consumer_id], c.usage.values,
+                                  dates_of[c.usage.start_date, c.usage.n_days]) for c in chunk])
+            if buf is None:
+                out.write("".join([_ROW % (c.consumer_id, date, *cells) for c in chunk
+                                   for date, cells in zip(_iso_dates(c.usage),
+                                                          c.usage.values.tolist())]).encode())
+            else:
+                keep = buf != _PAD
+                out.write(buf.reshape(-1) if keep.all() else buf[keep])
 
     atomic_write(path, _write)
 
 
 def _write_chunks(consumers, ids):
-    """`consumers`' rows as chunks of (consumer, first row, stop row) pieces, in file order.
+    """`consumers` as runs of whole consumers, in file order.
 
-    A chunk holds at most `_WRITE_CHUNK` bytes of lines counted at their widest (the
-    chunk's longest id, then `_LINE_TAIL`), or one line: a consumer may be split.
+    A chunk holds at most `_WRITE_CHUNK` bytes of lines, each counted at the chunk's widest
+    (its longest id, then `_LINE_TAIL`), or exactly one consumer.
     """
-    pieces, rows, widest = [], 0, 0
+    chunk, rows, widest = [], 0, 0
     for c in consumers:
-        a, days = 0, c.usage.n_days
-        while a < days:
-            widest = max(widest, len(ids[c.consumer_id]) + _LINE_TAIL)
-            room = max(1, _WRITE_CHUNK // widest) - rows
-            if room <= 0:
-                yield pieces
-                pieces, rows, widest = [], 0, 0
-                continue
-            b = min(days, a + room)
-            pieces.append((c, a, b))
-            rows += b - a
-            a = b
-    if pieces:
-        yield pieces
+        wide = len(ids[c.consumer_id]) + _LINE_TAIL
+        if chunk and (rows + c.usage.n_days) * max(widest, wide) > _WRITE_CHUNK:
+            yield chunk
+            chunk, rows, widest = [], 0, 0
+        chunk.append(c)
+        rows += c.usage.n_days
+        widest = max(widest, wide)
+    yield chunk
 
 
-def _write_lines(out, pieces):
-    """Write the meter lines of `pieces`, each (id bytes, (rows, 24) readings, (rows, 10) dates)."""
-    values = np.concatenate([v for _, v, _ in pieces]) if len(pieces) > 1 else pieces[0][1]
-    buf, head, fast = _padded_lines(pieces, values)
-    keep = buf != _PAD
-    lines = buf.reshape(-1) if keep.all() else buf[keep]
-    if fast.all():
-        out.write(lines)
-        return
-    stops = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-    begin = 0
-    for i in np.flatnonzero(~fast).tolist():
-        out.write(lines[begin:stops[i - 1] if i else 0])
-        text = _READINGS % tuple(values[i].tolist())
-        out.write(buf[i, :head][keep[i, :head]].tobytes() + text.encode())
-        begin = stops[i]
-    out.write(lines[begin:])
-
-
-def _padded_lines(pieces, values):
-    """The lines of `pieces` with `values` as their readings, one a row, laid out at the
-    widest line and padded with `_PAD`; the bytes before a line's first reading; and which
-    lines are in the writer's form. The other lines' readings are to be written by %.4f.
+def _padded_lines(pieces):
+    """The lines of `pieces`, each (id bytes, (rows, 24) readings, (rows, 10) dates), one a row,
+    laid out at the widest line and padded with `_PAD`; or None if any reading is not in the
+    writer's form, for then the chunk is written by %.4f.
 
     Each line is the id right-aligned in the longest id, ",YYYY-MM-DD,", then 24 readings
     of as many integer digits as the widest reading has, '.', 4 digits and ',', where the
     last ',' is CR and LF follows. Pads lie in front of an id and of the integer digits.
     """
-    with np.errstate(over="ignore"):  # a reading near float64's top: its line is not fast
+    values = np.concatenate([v for _, v, _ in pieces]) if len(pieces) > 1 else pieces[0][1]
+    with np.errstate(over="ignore"):  # a reading near float64's top: not in the form
         m = values * 10**4
     np.rint(m, out=m)
     # 0 <= x < 10**8, -0.0 not included, as one compare: read as a uint64, the bits of such
     # an x lie below those of 10**8, and the sign bit puts those of -0.0 above them
-    fast = ((m / 10**4 == values) & (values.view(np.uint64) < _BITS_1E8)).all(axis=1)
-    if not fast.all():
-        m[~fast] = 0
+    if not ((m / 10**4 == values) & (values.view(np.uint64) < _BITS_1E8)).all():
+        return None
     r = m.astype(np.int64)  # less 10**4 q below: the 4 fraction digits
     del m  # one chunk's temporaries are at most about five of its (rows, 24) arrays
     q = r // 10**4  # the integer part; np.divmod is several times slower than // here
@@ -624,7 +605,7 @@ def _padded_lines(pieces, values):
     fraction = np.ndarray((len(values), HOURS), np.uint32, buf, offset=p + 13 + width,
                           strides=(len(form), slot))
     fraction[:] = np.take(_digit_groups(), r)
-    return buf, p + 12, fast
+    return buf
 
 
 def _digit_bytes(index: np.ndarray) -> np.ndarray:

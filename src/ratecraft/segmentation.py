@@ -18,7 +18,7 @@ import numpy as np
 from .costs import consumer_stats, group_lambda
 from .forecast import backtest_cv
 from .solver import DEFAULT_GAMMA, solve_min_lambda
-from .types import CostStats, Dataset, SelectionVector
+from .types import CostStats, Dataset, SelectionVector, _count
 
 LeftoverPolicy = str  # "aggregate" or "drop"
 
@@ -179,7 +179,7 @@ def segment_population(
         raise ValueError("validate window is empty")
     if size_grid is None:
         size_grid = default_size_grid(dataset.n_consumers)
-    size_grid = sorted(set(int(m) for m in size_grid))
+    size_grid = sorted({_count(m, "each of size_grid") for m in size_grid})
     if not size_grid:
         raise ValueError("size grid must be nonempty")
     if size_grid[0] < 1:

@@ -25,7 +25,7 @@ from .costs import (
     realized_rate,
 )
 from .forecast import _require_usage, fit_profile, group_profile, predict_rows, residual_sigma
-from .types import Dataset, SelectionVector
+from .types import Dataset, SelectionVector, _count
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def replay_validate(
         selection = SelectionVector(dataset.n_consumers, np.arange(dataset.n_consumers))
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
-    total_days = dataset.validate_days if n_days is None else int(n_days)
+    total_days = dataset.validate_days if n_days is None else _count(n_days, "n_days")
     if not (1 <= total_days <= dataset.validate_days):
         raise ValueError(f"n_days must be in [1, {dataset.validate_days}]")
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .types import CostStats, SelectionVector
+from .types import CostStats, SelectionVector, _count
 
 DEFAULT_GAMMA = 1e-6  # cents/kWh; well below any reporting granularity
 
@@ -55,7 +55,7 @@ def feasibility_test(stats: CostStats, lam: float, m: int) -> Optional[Selection
     n entries, and their values are summed in that order. Returns the
     selection when that sum is nonpositive, otherwise None.
     """
-    _check_m(stats, m)
+    m = _check_m(stats, m)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
     v = stats.t - lam * stats.w
@@ -82,7 +82,7 @@ def solve_min_lambda(stats: CostStats, m: int, gamma: float = DEFAULT_GAMMA) -> 
     infeasible, exactly as `feasibility_test` would find; only midpoints inside
     the band are tested. One test at the final upper bound gives the selection.
     """
-    _check_m(stats, m)
+    m = _check_m(stats, m)
     if not gamma > 0:  # also refuses NaN
         raise ValueError("gamma must be > 0")
     ratios = stats.ratios
@@ -176,6 +176,8 @@ def lambda_curve(
     return [(m, solve_min_lambda(stats, m, gamma).lambda_star) for m in sizes]
 
 
-def _check_m(stats: CostStats, m: int):
+def _check_m(stats: CostStats, m: int) -> int:
+    m = _count(m, "group size m")
     if not (1 <= m <= stats.n):
         raise ValueError(f"group size must be in [1, {stats.n}], got {m}")
+    return m

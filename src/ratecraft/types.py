@@ -62,6 +62,17 @@ def _readonly(values, name: str, shape: tuple, nonnegative: bool = True) -> np.n
     return arr
 
 
+def _count(value, name: str) -> int:
+    """`value` as an int when it is one to `operator.index`, else a ValueError naming `name`.
+
+    Floats, numpy floats and strings are refused, not truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _address(arr: np.ndarray) -> int:
     return arr.__array_interface__["data"][0]
 
@@ -95,6 +106,9 @@ class HourlyMatrix:
     start_date: dt.date
 
     def __post_init__(self):
+        # exactly a date: a datetime (a date subclass) or a string breaks the day arithmetic
+        if type(self.start_date) is not dt.date:
+            raise ValueError(f"start_date must be a datetime.date, got {self.start_date!r}")
         object.__setattr__(self, "values", _readonly(self.values, "values", ("days", HOURS)))
 
     @property
@@ -172,6 +186,8 @@ class Dataset:
     validate_days: int
 
     def __post_init__(self):
+        for name in ("train_days", "validate_days"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         object.__setattr__(self, "consumers", tuple(self.consumers))
         if len(self.consumers) == 0:
             raise ValueError("dataset needs at least one consumer")
@@ -241,7 +257,8 @@ class Dataset:
 class SelectionVector:
     """A nonempty group out of n consumers: the selection vector u in {0,1}^n.
 
-    `indices` holds the members: read-only, ascending, distinct intp.
+    `indices` holds the members: read-only, ascending, distinct intp. They are given as a
+    1-d sequence of integers; a mask, floats or a 2-d array are refused, not cast.
     Two selections are equal, and hash alike, when they have the same n and members.
     """
 
@@ -249,9 +266,13 @@ class SelectionVector:
     indices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n", operator.index(self.n))
-        indices = self.indices if isinstance(self.indices, np.ndarray) else list(self.indices)
-        idx = np.sort(np.asarray(indices, dtype=np.intp), axis=None)
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        given = np.asarray(self.indices if isinstance(self.indices, np.ndarray)
+                           else list(self.indices))
+        if given.size and (given.ndim != 1 or given.dtype.kind not in "iu"):
+            raise ValueError("selection indices must be a 1-d sequence of integers, got "
+                             f"{given.dtype} of shape {given.shape}")
+        idx = np.sort(given.astype(np.intp, copy=False))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
             raise ValueError(f"selection indices out of range for population of {self.n}")
         if np.count_nonzero(idx[1:] == idx[:-1]):

@@ -682,6 +682,43 @@ def test_meter_writer_bytes_equal_the_row_format(tmp_path, case):
     assert path.read_bytes() == _reference_meter_bytes(consumers)
 
 
+@st.composite
+def _consumers_to_chunk(draw):
+    """Consumers of 1 to 40 days with ids of 1 to 60 characters of any script, and a chunk
+    budget from less than one line to many consumers, often exactly the first k consumers'."""
+    ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters=',"\r\n'),
+                                min_size=1, max_size=60), min_size=1, max_size=12, unique=True))
+    consumers = [ConsumerSeries(cid, _series(START, draw(st.integers(1, 40)))) for cid in ids]
+    k = draw(st.integers(1, len(ids)))
+    exact = (sum(c.usage.n_days for c in consumers[:k])
+             * (max(len(cid.encode("utf-8")) for cid in ids[:k]) + ingest._LINE_TAIL))
+    budget = st.one_of(st.just(exact), st.integers(1, 60 * (240 + ingest._LINE_TAIL)))
+    return consumers, draw(budget)
+
+
+@given(case=_consumers_to_chunk())
+def test_meter_writer_chunks_whole_consumers_within_the_budget(case):
+    """Every consumer is in one chunk, in order; a chunk of more than one consumer holds at
+    most `_WRITE_CHUNK` bytes counted at its widest line, and ends only where the next
+    consumer would not fit."""
+    consumers, budget = case
+    ids = {c.consumer_id: c.consumer_id.encode("utf-8") for c in consumers}
+    with mock.patch.object(ingest, "_WRITE_CHUNK", budget):
+        chunks = list(ingest._write_chunks(consumers, ids))
+    written = [c for chunk in chunks for c in chunk]
+    assert len(written) == len(consumers) and all(a is b for a, b in zip(written, consumers))
+
+    def size(chunk):
+        widest = max(len(ids[c.consumer_id]) for c in chunk) + ingest._LINE_TAIL
+        return sum(c.usage.n_days for c in chunk) * widest
+
+    for chunk, after in zip(chunks, chunks[1:] + [None]):
+        assert len(chunk) == 1 or size(chunk) <= budget
+        if after is not None:
+            assert size(chunk + after[:1]) > budget
+
+
 @pytest.mark.parametrize("seed", [7, 11])
 def test_synth_writes_the_row_format_bytes_in_a_fresh_process(tmp_path, seed):
     """The CLI path end to end: `ratecraft synth` in a child writes the reference bytes."""

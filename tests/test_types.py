@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratecraft.costs import DailySettlement, PurchasePlan
-from ratecraft.forecast import GroupForecaster
-from ratecraft.segmentation import SegmentationResult, SegmentGroup
-from ratecraft.solver import SolveResult
+from ratecraft.costs import DailySettlement, PurchasePlan, consumer_stats
+from ratecraft.forecast import GroupForecaster, cv_curve
+from ratecraft.segmentation import SegmentationResult, SegmentGroup, segment_population
+from ratecraft.simulate import replay_validate
+from ratecraft.solver import SolveResult, feasibility_test, lambda_curve, solve_min_lambda
 from ratecraft.types import (
     ConsumerSeries,
     CostStats,
@@ -122,6 +123,15 @@ def test_hourly_matrix_validates_a_kept_array(cell, message):
     HourlyMatrix(block[:3], START)
     with pytest.raises(ValueError, match=message):
         HourlyMatrix(block[2:], START)
+
+
+@pytest.mark.parametrize("start", [dt.datetime(2021, 1, 4), "2021-01-04", None],
+                         ids=["datetime", "str", "None"])
+def test_hourly_matrix_refuses_a_start_date_that_is_not_a_date(start):
+    """Exactly a datetime.date: a datetime is a date subclass whose day arithmetic keeps
+    the time, and a string has none."""
+    with pytest.raises(ValueError, match=r"^start_date must be a datetime\.date, got "):
+        HourlyMatrix(np.ones((2, 24)), start)
 
 
 def test_hourly_matrix_slice_days():
@@ -294,11 +304,49 @@ def test_selection_from_python_iterables():
         ([1, 1], "must be unique"),
         (np.array([2, 0, 2], dtype=np.int16), "must be unique"),
         ([5, 5], "out of range"),  # the range is checked first
+        (np.array([False, True]), "1-d sequence of integers"),  # a mask, not indices
+        ([True], "1-d sequence of integers"),
+        ([1.9], "1-d sequence of integers"),  # not truncated to 1
+        (np.array([1.0, 2.0]), "1-d sequence of integers"),
+        (np.array([[0, 1], [2, 0]]), "1-d sequence of integers"),  # not flattened
+        (np.array(1), "1-d sequence of integers"),
+        (np.array([], dtype=float), r"^cardinality must be in \[1, 3\], got 0$"),
+        (np.zeros((0, 2), dtype=bool), r"^cardinality must be in \[1, 3\], got 0$"),
     ],
 )
 def test_selection_from_indices_errors(indices, message):
     with pytest.raises(ValueError, match=message):
         SelectionVector(3, indices)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: Dataset(ds.consumers, ds.prices, ds.train_days + 0.5, ds.validate_days - 0.5),
+     r"train_days must be an integer, got \d+\.5"),
+    (lambda ds: Dataset(ds.consumers, ds.prices, ds.train_days, np.float64(ds.validate_days)),
+     r"validate_days must be an integer, got "),
+    (lambda ds: feasibility_test(consumer_stats(ds), 1.0, 2.0),
+     "group size m must be an integer, got 2.0"),
+    (lambda ds: solve_min_lambda(consumer_stats(ds), 2.0),
+     "group size m must be an integer, got 2.0"),
+    (lambda ds: lambda_curve(consumer_stats(ds), [2, 3.0]),
+     "group size m must be an integer, got 3.0"),
+    (lambda ds: cv_curve(ds, [np.float64(3.0)]), r"each of sizes must be an integer, got "),
+    (lambda ds: cv_curve(ds, [3], n_random_trials=2.5),
+     "n_random_trials must be an integer, got 2.5"),
+    (lambda ds: segment_population(ds, 10.0, size_grid=[1.7, 3.2]),
+     "each of size_grid must be an integer, got 1.7"),
+    (lambda ds: segment_population(ds, 10.0, size_grid=[2, "5"]),
+     "each of size_grid must be an integer, got '5'"),
+    (lambda ds: replay_validate(ds, n_days=1.9), "n_days must be an integer, got 1.9"),
+    (lambda ds: SelectionVector(3.0, [1]), "n must be an integer, got 3.0"),
+], ids=["train_days", "validate_days", "feasibility_test", "solve_min_lambda", "lambda_curve",
+        "cv_curve sizes", "cv_curve trials", "size_grid floats", "size_grid str",
+        "replay n_days", "selection n"])
+def test_counts_refuse_non_integers(synth_small, call, message):
+    """A count is an integer by operator.index: a float or a string is refused with the
+    argument's name before any work, not truncated, parsed or failed on deep inside numpy."""
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(synth_small)
 
 
 INTEGER_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
