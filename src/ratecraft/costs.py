@@ -16,7 +16,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .types import HOURS, CostStats, Dataset, ForecastErrorModel, SelectionVector, _readonly
+from .types import (
+    HOURS, CostStats, Dataset, ForecastErrorModel, SelectionVector, _count, _readonly,
+)
 
 SettlementDesign = Literal["two_sided", "one_sided"]
 
@@ -53,6 +55,7 @@ class DailySettlement:
     cost: float  # cents
 
     def __post_init__(self):
+        object.__setattr__(self, "day_index", _count(self.day_index, "day_index"))
         if self.day_index < 0:
             raise ValueError("day_index must be nonnegative")
         if not math.isfinite(self.cost):

@@ -56,7 +56,7 @@ class CvPoint:
     def __post_init__(self):
         if self.kind not in ("random", "optimal"):
             raise ValueError(f"unknown point kind {self.kind!r}")
-        if self.cv < 0:
+        if not self.cv >= 0:  # also refuses NaN
             raise ValueError("cv must be nonnegative")
 
 
@@ -69,12 +69,15 @@ class CvCurve:
 
 
 def fit_ar(series: Sequence[float], order: int) -> tuple[float, np.ndarray]:
-    """Least-squares AR(order) fit with intercept on a 1-D series."""
+    """Least-squares AR(order) fit with intercept on a 1-D finite series."""
+    order = _count(order, "order")
     if order < 1:
         raise ValueError("AR order must be >= 1")
     y = np.asarray(series, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("series must be 1-D")
+    if not np.isfinite(y).all():  # else LAPACK prints a warning to stdout, then lstsq raises
+        raise ValueError("series must be finite")
     n = y.size
     if n < order + 1:
         raise ValueError(f"need at least {order + 1} points to fit AR({order})")
@@ -199,7 +202,7 @@ def predict_rows(
 def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of variation of forecast error, in percent.
 
-    100 * RMSE(actual, predicted) / mean(actual).
+    100 * RMSE(actual, predicted) / mean(actual), of finite series.
     """
     a = np.asarray(actual, dtype=np.float64).ravel()
     f = np.asarray(predicted, dtype=np.float64).ravel()
@@ -207,6 +210,9 @@ def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
         raise ValueError("actual and predicted must have equal length")
     if a.size == 0:
         raise ValueError("cannot evaluate cv on empty series")
+    for name, values in (("actual", a), ("predicted", f)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
     mean = float(a.mean())
     if mean <= 0:
         raise ValueError("mean actual consumption must be positive")
@@ -269,12 +275,13 @@ def cv_curve(
     if not gamma > 0:  # before any backtest; also refuses NaN
         raise ValueError("gamma must be > 0")
     n = dataset.n_consumers
+    for m in sizes:  # every size before the first backtest
+        if not (1 <= m <= n):
+            raise ValueError(f"group size must be in [1, {n}], got {m}")
     stats = consumer_stats(dataset)
     points: list[CvPoint] = []
     bands: dict[int, tuple[float, float]] = {}
     for s_idx, m in enumerate(sizes):
-        if not (1 <= m <= n):
-            raise ValueError(f"group size must be in [1, {n}], got {m}")
         trial_cvs = np.empty(n_random_trials)
         for trial in range(n_random_trials):
             rng = np.random.default_rng([seed, s_idx, trial])

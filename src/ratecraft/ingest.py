@@ -29,7 +29,7 @@ the block itself, so the usage is held once.
 The meter file is written in one vectorized pass as well, in chunks of whole
 consumers of about 256 KiB of lines. A chunk whose readings are all in the
 writer's form is built as bytes by digit arithmetic; a chunk holding a -0.0, a
-value off the 4-decimal grid, or a value of 10**8 or more is written whole by
+value off the 4-decimal grid, or a value of 10**4 or more is written whole by
 ``%.4f``. Either way every byte is that format's.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import HOURS, ConsumerSeries, Dataset, HourlyMatrix, PriceSeries
+from .types import HOURS, ConsumerSeries, Dataset, HourlyMatrix, PriceSeries, _count
 
 _HOUR_COLS = [f"h{h:02d}" for h in range(HOURS)]
 METER_HEADER = ["consumer_id", "date"] + _HOUR_COLS
@@ -93,24 +93,24 @@ _READING_FORMS = {
 # temporaries are a few times that. Chunks of 1 MiB wrote no faster, and a process that
 # went on to load meter files peaked about 1 MiB higher.
 _WRITE_CHUNK = 1 << 18
+# The widest line of readings below 10**8, which %.4f writes, counted without its id
 _LINE_TAIL = 12 + HOURS * (8 + 6) + 1
 # The byte the meter writer pads its lines with before one mask drops every pad: '"', which
 # no written line holds.
 _PAD = 34
-# 10**8's bits as a uint64: the writer's digits cover readings below it
-_BITS_1E8 = np.float64(10**8).view(np.uint64)
+# 10**4's bits as a uint64: the writer's digits cover readings below it
+_BITS_1E4 = np.float64(10**4).view(np.uint64)
 
 
 @functools.cache
 def _digit_groups() -> np.ndarray:
     """Four ASCII digits an entry, read as one uint32: k < 10**4 at entry k with its leading
-    zeros; at entry 10**4 + k with them as pad bytes, save the last digit; and four pad
-    bytes at entry 2 * 10**4. Built at the first meter write, so that importing the module
-    costs nothing more."""
+    zeros, and at entry 10**4 + k with them as pad bytes, save the last digit. Built at the
+    first meter write, so that importing the module costs nothing more."""
     k = np.arange(10**4, dtype=np.uint16)[:, None]
     digits = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48).astype(np.uint8)
     padded = np.where(k < [1000, 100, 10, 0], np.uint8(_PAD), digits)
-    table = np.concatenate([digits, padded, np.full((1, 4), _PAD, np.uint8)])
+    table = np.concatenate([digits, padded])
     return table.view(np.uint32).ravel()
 
 
@@ -134,6 +134,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_consumers", "n_days", "seed"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.n_consumers < 1:
             raise ValueError("n_consumers must be >= 1")
         if self.n_days < 2:
@@ -491,9 +493,9 @@ def write_meter_csv(consumers: list[ConsumerSeries], path):
 
     The lines go out in chunks of whole consumers (`_write_chunks`). A chunk whose readings
     are all in the writer's form is built as bytes: each reading x gives m = rint(x * 10**4),
-    in the form when m / 10**4 is x, x is not -0.0 and m has at most 12 digits (8 before
+    in the form when m / 10**4 is x, x is not -0.0 and m has at most 8 digits (4 before
     the point), for then m's digits are what ``%.4f`` writes of x. Any other chunk (one
-    with a -0.0, an off-grid value such as 0.00005, or a value of 10**8 or more) is written
+    with a -0.0, an off-grid value such as 0.00005, or a value of 10**4 or more) is written
     line by line by ``%.4f``, so every byte is the `_ROW` format's.
     """
     if not consumers:
@@ -559,22 +561,22 @@ def _padded_lines(pieces):
     writer's form, for then the chunk is written by %.4f.
 
     Each line is the id right-aligned in the longest id, ",YYYY-MM-DD,", then 24 readings
-    of as many integer digits as the widest reading has, '.', 4 digits and ',', where the
-    last ',' is CR and LF follows. Pads lie in front of an id and of the integer digits.
+    of as many integer digits as the widest reading has (at most 4), '.', 4 digits and ',',
+    where the last ',' is CR and LF follows. Pads lie in front of an id and of the integer digits.
     """
     values = np.concatenate([v for _, v, _ in pieces]) if len(pieces) > 1 else pieces[0][1]
     with np.errstate(over="ignore"):  # a reading near float64's top: not in the form
         m = values * 10**4
     np.rint(m, out=m)
-    # 0 <= x < 10**8, -0.0 not included, as one compare: read as a uint64, the bits of such
-    # an x lie below those of 10**8, and the sign bit puts those of -0.0 above them
-    if not ((m / 10**4 == values) & (values.view(np.uint64) < _BITS_1E8)).all():
+    # 0 <= x < 10**4, -0.0 not included, as one compare: read as a uint64, the bits of such
+    # an x lie below those of 10**4, and the sign bit puts those of -0.0 above them
+    if not ((m / 10**4 == values) & (values.view(np.uint64) < _BITS_1E4)).all():
         return None
     r = m.astype(np.int64)  # less 10**4 q below: the 4 fraction digits
     del m  # one chunk's temporaries are at most about five of its (rows, 24) arrays
     q = r // 10**4  # the integer part; np.divmod is several times slower than // here
     r -= q * 10**4
-    width = len(str(int(q.max())))  # at most 8
+    width = len(str(int(q.max())))  # at most 4
 
     p = max(len(cid) for cid, _, _ in pieces)
     slot = width + 6
@@ -591,26 +593,13 @@ def _padded_lines(pieces):
         buf[top:bottom, p + 1:p + 11] = dates
         top = bottom
     ints = buf[:, p + 12:-1].reshape(len(values), HOURS, slot)[:, :, :width]
-    if width > 4:  # the leading digits, then the last four with their zeros kept
-        hi = q // 10**4
-        q -= hi * 10**4
-        lead = hi > 0
-        ints[:, :, :-4] = _digit_bytes(np.where(lead, hi + 10**4, 2 * 10**4))[:, :, 8 - width:]
-        q[~lead] += 10**4
-    else:
-        q += 10**4
-    low = min(width, 4)
-    ints[:, :, -low:] = _digit_bytes(q)[:, :, 4 - low:]
+    q += 10**4  # the entries with pads for leading zeros
+    ints[:] = np.take(_digit_groups(), q).view(np.uint8).reshape(*q.shape, 4)[:, :, 4 - width:]
     # the 4 fraction digits of a reading as one uint32, in place: a view that is unaligned
     fraction = np.ndarray((len(values), HOURS), np.uint32, buf, offset=p + 13 + width,
                           strides=(len(form), slot))
     fraction[:] = np.take(_digit_groups(), r)
     return buf
-
-
-def _digit_bytes(index: np.ndarray) -> np.ndarray:
-    """The 4 bytes `_digit_groups` holds at each entry of `index`, as index.shape + (4,) bytes."""
-    return np.take(_digit_groups(), index).view(np.uint8).reshape(*index.shape, 4)
 
 
 def write_price_csv(prices: PriceSeries, path):

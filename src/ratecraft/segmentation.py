@@ -34,11 +34,12 @@ class SegmentGroup:
     threshold_met: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "round", _count(self.round, "round"))
         if self.round < 1:
             raise ValueError("round numbering starts at 1")
-        if self.rate <= 0:
+        if not self.rate > 0:  # these two also refuse NaN
             raise ValueError("group rate must be positive")
-        if self.cv < 0:
+        if not self.cv >= 0:
             raise ValueError("cv must be nonnegative")
 
     @property
@@ -103,6 +104,7 @@ class StabilityReport:
 
 def default_size_grid(n: int, smallest: int = 10) -> list[int]:
     """Up to 20 log-spaced candidate sizes from `smallest` up to n."""
+    n, smallest = _count(n, "n"), _count(smallest, "smallest")
     if n < 1:
         raise ValueError("population must be nonempty")
     if n <= smallest:

@@ -17,10 +17,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# CI runs tests/test_solver.py, two bit-equality properties of tests/test_forecast.py, the
-# meter writer's byte-equality and chunking properties and the meter reader's three equality
-# properties again under --hypothesis-profile=ci, which replaces "det". A property that pins its own
-# max_examples takes the larger of its count and the profile's.
+# CI runs the tests marked depth again under --hypothesis-profile=ci, which replaces "det".
+# A property that pins its own max_examples takes the larger of its count and the profile's.
 settings.register_profile("ci", settings.get_profile("det"), max_examples=2000)
 settings.load_profile("det")
 

@@ -65,6 +65,18 @@ def test_fit_ar_input_validation():
         fit_ar([1.0, 2.0], order=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_fit_ar_and_cv_refuse_non_finite_input_before_the_numerics(bad, capfd):
+    """A NaN or infinity is refused by name; LAPACK never sees it, so prints nothing."""
+    with pytest.raises(ValueError, match="^series must be finite$"):
+        fit_ar([1.0, 2.0, bad, 4.0, 5.0, 6.0], 2)
+    with pytest.raises(ValueError, match="^actual must be finite$"):
+        cv([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^predicted must be finite$"):
+        cv([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+    assert capfd.readouterr() == ("", "")
+
+
 # -- group_profile ------------------------------------------------------------------
 
 
@@ -219,6 +231,7 @@ def _weekday_shapes_by_masks(profile, train_days, start_weekday):
     return shapes
 
 
+@pytest.mark.depth
 @given(seed=st.integers(0, 2**32 - 1), days=st.integers(14, 60), extra=st.integers(0, 10),
        start_weekday=st.integers(0, 6), vacancy=st.floats(0.0, 0.95),
        scale=st.floats(-3.0, 3.0))
@@ -315,6 +328,7 @@ def test_ar_lag_ordering():
     assert float(pred.sum()) == pytest.approx(11.0)
 
 
+@pytest.mark.depth
 @given(
     members=st.sets(st.integers(0, 199), min_size=1, max_size=200),
     order=st.integers(1, 20),
@@ -502,6 +516,8 @@ def test_cv_point_validation():
         CvPoint(m=1, kind="best", cv=1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         CvPoint(m=1, kind="random", cv=-0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        CvPoint(m=1, kind="random", cv=float("nan"))
 
 
 def test_cv_curve_refuses_a_bad_gamma_before_any_backtest(synth_medium, monkeypatch):
@@ -510,6 +526,10 @@ def test_cv_curve_refuses_a_bad_gamma_before_any_backtest(synth_medium, monkeypa
     for gamma in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="gamma must be > 0"):
             cv_curve(synth_medium, [10, 50], n_random_trials=30, gamma=gamma)
+    n = synth_medium.n_consumers
+    for sizes in ([5, n + 1], [5, 0]):
+        with pytest.raises(ValueError, match=rf"group size must be in \[1, {n}\]"):
+            cv_curve(synth_medium, sizes, n_random_trials=50)
     assert backtests == []
 
 

@@ -635,14 +635,15 @@ def _reference_meter_bytes(consumers):
 
 
 # Readings the byte pass leaves to %.4f: -0.0, values off the 4-decimal grid, and values of
-# 10**8 or more, up to the 1e99 that `synth --base-kwh 1e100` can give.
-_NOT_IN_WRITER_FORM = [-0.0, 0.00005, 1 / 3, 1e8, 1e8 + 0.5, 1e20, 1e99]
+# 10**4 or more, up to the 1e99 that `synth --base-kwh 1e100` can give.
+_NOT_IN_WRITER_FORM = [-0.0, 0.00005, 1 / 3, 1e4, 12345.6789, 99999999.9999, 1e8, 1e8 + 0.5,
+                       1e20, 1e99]
 
 
 @st.composite
 def _writer_form_reading(draw):
-    """m / 10**4 for an m of 1 to 8 integer digits, often at the edge of a power of ten."""
-    low, high = _widths(draw(st.integers(1, 8)))
+    """m / 10**4 for an m of 1 to 4 integer digits, often at the edge of a power of ten."""
+    low, high = _widths(draw(st.integers(1, 4)))
     return draw(st.one_of(st.sampled_from([low, low + 1, high - 1, high]),
                           st.integers(low, high))) / 10**4
 
@@ -671,6 +672,7 @@ def _consumers_to_write(draw):
     return consumers, chunk
 
 
+@pytest.mark.depth
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_consumers_to_write())
 def test_meter_writer_bytes_equal_the_row_format(tmp_path, case):
@@ -697,6 +699,7 @@ def _consumers_to_chunk(draw):
     return consumers, draw(budget)
 
 
+@pytest.mark.depth
 @given(case=_consumers_to_chunk())
 def test_meter_writer_chunks_whole_consumers_within_the_budget(case):
     """Every consumer is in one chunk, in order; a chunk of more than one consumer holds at
@@ -829,6 +832,7 @@ def _meter_texts(draw):
     return eol.join([draw(st.sampled_from(_HEADERS))] + rows) + draw(st.sampled_from([eol, ""]))
 
 
+@pytest.mark.depth
 @settings(max_examples=max(400, settings.default.max_examples),
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(text=_meter_texts())
@@ -862,6 +866,7 @@ def _written_files(draw):
     return consumers, draw(st.sampled_from([1, 7, 300, 1 << 19]))
 
 
+@pytest.mark.depth
 @settings(max_examples=max(150, settings.default.max_examples),
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(case=_written_files())
@@ -898,6 +903,7 @@ def test_four_decimals_are_m_over_ten_thousand_for_every_m_below_a_million():
     assert (m / 10**4).tobytes() == np.array([float(_reading(k)) for k in range(10**6)]).tobytes()
 
 
+@pytest.mark.depth
 @settings(max_examples=max(200, settings.default.max_examples),
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 3), st.data()),

@@ -188,6 +188,22 @@ def test_segmentation_result_validates_partition():
         SegmentationResult(groups=(g1, g3), cv_threshold=10.0, leftover_policy="aggregate")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("round", 0, "round numbering starts at 1"),
+    ("rate", 0.0, "group rate must be positive"),
+    ("rate", -1.0, "group rate must be positive"),
+    ("rate", float("nan"), "group rate must be positive"),
+    ("cv", -0.1, "cv must be nonnegative"),
+    ("cv", float("nan"), "cv must be nonnegative"),
+])
+def test_segment_group_validation(field, value, message):
+    fields = dict(round=1, members=SelectionVector(4, [0, 1]), rate=2.0, cv=5.0,
+                  threshold_met=True)
+    SegmentGroup(**fields)
+    with pytest.raises(ValueError, match=message):
+        SegmentGroup(**{**fields, field: value})
+
+
 def test_stability_audit_clean_on_solver_output(synth_medium):
     stats = consumer_stats(synth_medium)
     seg = segment_population(synth_medium, cv_threshold=8.0, size_grid=[10, 25, 50, 100, 200])

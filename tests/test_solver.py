@@ -19,6 +19,7 @@ from ratecraft.solver import (
 from ratecraft.types import CostStats, SelectionVector
 
 GAMMA = 1e-6
+pytestmark = pytest.mark.depth
 
 
 def _random_stats(rng, n):

@@ -7,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratecraft.costs import DailySettlement, PurchasePlan, consumer_stats
-from ratecraft.forecast import GroupForecaster, cv_curve
-from ratecraft.segmentation import SegmentationResult, SegmentGroup, segment_population
+from ratecraft.forecast import GroupForecaster, cv_curve, fit_ar
+from ratecraft.ingest import SynthSpec
+from ratecraft.segmentation import (
+    SegmentationResult,
+    SegmentGroup,
+    default_size_grid,
+    segment_population,
+)
 from ratecraft.simulate import replay_validate
 from ratecraft.solver import SolveResult, feasibility_test, lambda_curve, solve_min_lambda
 from ratecraft.types import (
@@ -339,9 +345,21 @@ def test_selection_from_indices_errors(indices, message):
      "each of size_grid must be an integer, got '5'"),
     (lambda ds: replay_validate(ds, n_days=1.9), "n_days must be an integer, got 1.9"),
     (lambda ds: SelectionVector(3.0, [1]), "n must be an integer, got 3.0"),
+    (lambda ds: SynthSpec(3.5, 10), "n_consumers must be an integer, got 3.5"),
+    (lambda ds: SynthSpec(3, 10.5), "n_days must be an integer, got 10.5"),
+    (lambda ds: SynthSpec(3, 10, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda ds: default_size_grid(10.5), "n must be an integer, got 10.5"),
+    (lambda ds: default_size_grid(40, smallest=2.5), "smallest must be an integer, got 2.5"),
+    (lambda ds: SegmentGroup(1.5, SelectionVector(3, [1]), 2.0, 5.0, True),
+     "round must be an integer, got 1.5"),
+    (lambda ds: DailySettlement(1.5, np.ones(24), np.ones(24), 1.0),
+     "day_index must be an integer, got 1.5"),
+    (lambda ds: fit_ar(np.arange(10.0), 2.5), "order must be an integer, got 2.5"),
 ], ids=["train_days", "validate_days", "feasibility_test", "solve_min_lambda", "lambda_curve",
         "cv_curve sizes", "cv_curve trials", "size_grid floats", "size_grid str",
-        "replay n_days", "selection n"])
+        "replay n_days", "selection n", "synth n_consumers", "synth n_days", "synth seed",
+        "size grid n", "size grid smallest", "group round", "settlement day_index",
+        "ar order"])
 def test_counts_refuse_non_integers(synth_small, call, message):
     """A count is an integer by operator.index: a float or a string is refused with the
     argument's name before any work, not truncated, parsed or failed on deep inside numpy."""
