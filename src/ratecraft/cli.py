@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -238,8 +238,22 @@ def _load_split_dataset(params) -> Dataset:
     return dataset
 
 
-def _write_text(path: Path, text: str):
-    atomic_write(path, lambda fh: fh.write(text))
+def _out_dir(params) -> Path:
+    out = Path(params["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_files(params, files: dict[str, str]) -> Path:
+    """Write each text of `files` by its name into the output directory, and return that."""
+    out = _out_dir(params)
+    for name, text in files.items():
+        atomic_write(out / name, [text.encode()])
+    return out
+
+
+def _csv(header: str, rows) -> str:
+    return "".join(f"{line}\n" for line in [header, *rows])
 
 
 # -- synth ------------------------------------------------------------------
@@ -258,8 +272,7 @@ def _run_synth(params):
         dataset = synth_population(spec)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    out = Path(params["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(params)
     write_meter_csv(list(dataset.consumers), out / "meter.csv")
     write_price_csv(dataset.prices, out / "prices.csv")
     n_peaky = sum(1 for c in dataset.consumers if c.consumer_id.startswith("peak"))
@@ -282,9 +295,7 @@ def _run_solve(params):
     consumer_ids = dataset.consumer_ids
     ids = [consumer_ids[i] for i in members]
 
-    out = Path(params["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "selection.csv", "consumer_id\n" + "".join(f"{i}\n" for i in ids))
+    out = _write_files(params, {"selection.csv": _csv("consumer_id", ids)})
     print(f"lambda_star={result.lambda_star:.9f} cents/kWh")
     print(f"iterations={result.iterations}")
     print(f"certificate={certificate:.9e}")
@@ -315,12 +326,8 @@ def _run_curves(params):
         else:
             cv_rows.append(f"{point.m},optimal,{point.cv:.9f},,")
 
-    out = Path(params["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "lambda_curve.csv",
-                "M,lambda_cents_per_kwh\n" + "".join(r + "\n" for r in lam_rows))
-    _write_text(out / "cv_curve.csv",
-                "M,kind,cv,ci_low,ci_high\n" + "".join(r + "\n" for r in cv_rows))
+    out = _write_files(params, {"lambda_curve.csv": _csv("M,lambda_cents_per_kwh", lam_rows),
+                                "cv_curve.csv": _csv("M,kind,cv,ci_low,ci_high", cv_rows)})
     print(f"sizes={','.join(str(m) for m in sizes)}")
     print(f"wrote {out / 'lambda_curve.csv'} and {out / 'cv_curve.csv'}")
 
@@ -356,20 +363,7 @@ def _run_segment(params):
             }
             for g in result.groups
         ],
-        "stability_audit": {
-            "pairs_checked": audit.pairs_checked,
-            "moves_checked": audit.moves_checked,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "earlier_round": v.earlier_round,
-                    "later_round": v.later_round,
-                    "consumer_index": v.consumer_index,
-                    "magnitude": v.magnitude,
-                }
-                for v in audit.violations
-            ],
-        },
+        "stability_audit": asdict(audit),
     }
 
     rounds_rows = [
@@ -381,15 +375,11 @@ def _run_segment(params):
         for i in g.members.indices:
             assign_rows.append(f"{consumer_ids[i]},{g.round},{g.rate:.9f}")
 
-    out = Path(params["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "segmentation.json", json.dumps(payload, indent=2) + "\n")
-    _write_text(out / "rounds.csv",
-                "round,size,rate_cents_per_kwh,cv_percent,threshold_met\n"
-                + "".join(r + "\n" for r in rounds_rows))
-    _write_text(out / "assignments.csv",
-                "consumer_id,group_round,group_rate_cents_per_kwh\n"
-                + "".join(r + "\n" for r in assign_rows))
+    out = _write_files(params, {
+        "segmentation.json": json.dumps(payload, indent=2) + "\n",
+        "rounds.csv": _csv("round,size,rate_cents_per_kwh,cv_percent,threshold_met", rounds_rows),
+        "assignments.csv": _csv("consumer_id,group_round,group_rate_cents_per_kwh", assign_rows),
+    })
     print(f"groups={len(result.groups)} assigned={result.n_assigned} of {dataset.n_consumers}")
     print(f"audit: pairs={audit.pairs_checked} moves={audit.moves_checked} "
           f"violations={len(audit.violations)}")
@@ -436,11 +426,8 @@ def _run_simulate(params):
             f"{s.day_index},{dataset.date_of_row(s.day_index).isoformat()},"
             f"{float(s.consumed.sum()):.4f},{float(s.purchased.sum()):.4f},{s.cost:.6f}"
         )
-    out = Path(params["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "settlement.csv",
-                "day_index,date,demand_kwh,purchased_kwh,cost_cents\n"
-                + "".join(r + "\n" for r in rows))
+    out = _write_files(params, {
+        "settlement.csv": _csv("day_index,date,demand_kwh,purchased_kwh,cost_cents", rows)})
     print(f"design={report.design} days={report.n_days} demand_kwh={report.demand_kwh:.4f}")
     print(f"realized_rate={report.realized_rate:.9f} cents/kWh")
     print(f"lambda={report.lambda_rate:.9f} cents/kWh")

@@ -9,6 +9,7 @@ sums exactly to the total prediction. It sits behind a small surface
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,9 @@ class CvPoint:
     cv: float
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _count(self.m, "m"))
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if self.kind not in ("random", "optimal"):
             raise ValueError(f"unknown point kind {self.kind!r}")
         if not self.cv >= 0:  # also refuses NaN
@@ -167,15 +171,19 @@ def predict_day(
     """Forecast the next day's 24 hours from the daily-total history.
 
     The predicted total (floored at 0) is spread over the weekday shape, so
-    the hourly forecast sums back to the total exactly.
+    the hourly forecast sums back to the total exactly. A history whose last
+    `model.order` days give a non-finite total is refused.
     """
     h = np.asarray(history, dtype=np.float64)
     if h.size < model.order:
         raise ValueError(f"need at least {model.order} days of history, got {h.size}")
+    day_of_week = _count(day_of_week, "day_of_week")
     if not (0 <= day_of_week <= 6):
         raise ValueError("day_of_week must be in [0, 6]")
     lags = h[-1 : -model.order - 1 : -1]  # most recent first, matching coeffs
     total = model.intercept + float(model.coeffs @ lags)
+    if not math.isfinite(total):  # max(nan, 0.0) is nan
+        raise ValueError(f"history gives a non-finite predicted total ({total})")
     total = max(total, 0.0)
     return total * model.shapes[day_of_week]
 

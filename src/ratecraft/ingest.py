@@ -31,6 +31,8 @@ consumers of about 256 KiB of lines. A chunk whose readings are all in the
 writer's form is built as bytes by digit arithmetic; a chunk holding a -0.0, a
 value off the 4-decimal grid, or a value of 10**4 or more is written whole by
 ``%.4f``. Either way every byte is that format's.
+Every file is written by `atomic_write`, as chunks of bytes that the writers
+encode themselves, to a binary temp file that is then renamed into place.
 
 Price CSV: a metadata first line ``#unit=cents_per_kwh`` or
 ``#unit=usd_per_mwh``, then header ``date,market,h00,...,h23`` with market
@@ -466,18 +468,17 @@ def load_price_csv(path) -> PriceSeries:
     return PriceSeries(HourlyMatrix(da, da_dates[0]), HourlyMatrix(rt, rt_dates[0]))
 
 
-def atomic_write(path, write_rows):
-    """Write a text file via temp+rename so readers never see partial output.
-
-    The temp file gets a unique name in the target directory, so nothing
-    already there can collide with it, and it is removed if writing fails.
+def atomic_write(path, chunks):
+    """Write the byte strings `chunks` to `path` by a binary temp file and a rename, so readers
+    never see partial output. The temp file gets a unique name in the target directory, so
+    nothing already there can collide with it, and it is removed if writing fails.
     """
     path = str(path)
     tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            write_rows(fh)
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -514,9 +515,8 @@ def write_meter_csv(consumers: list[ConsumerSeries], path):
             raise ValueError(f"{path}: cannot write consumer id {cid!r}: it is not "
                              "UTF-8 text") from None
 
-    def _write(fh):
-        out = fh.buffer  # the lines are bytes; nothing is written to `fh` as text
-        out.write(_METER_HEADER_LINE.encode() + b"\r\n")
+    def _chunks():
+        yield _METER_HEADER_LINE.encode() + b"\r\n"
         dates_of = {}  # (start date, days) -> (days, 10) date bytes, shared over one range
         for c in consumers:
             span = (c.usage.start_date, c.usage.n_days)
@@ -527,14 +527,14 @@ def write_meter_csv(consumers: list[ConsumerSeries], path):
             buf = _padded_lines([(ids[c.consumer_id], c.usage.values,
                                   dates_of[c.usage.start_date, c.usage.n_days]) for c in chunk])
             if buf is None:
-                out.write("".join([_ROW % (c.consumer_id, date, *cells) for c in chunk
-                                   for date, cells in zip(_iso_dates(c.usage),
-                                                          c.usage.values.tolist())]).encode())
+                yield "".join([_ROW % (c.consumer_id, date, *cells) for c in chunk
+                               for date, cells in zip(_iso_dates(c.usage),
+                                                      c.usage.values.tolist())]).encode()
             else:
                 keep = buf != _PAD
-                out.write(buf.reshape(-1) if keep.all() else buf[keep])
+                yield buf.reshape(-1) if keep.all() else buf[keep]
 
-    atomic_write(path, _write)
+    atomic_write(path, _chunks())
 
 
 def _write_chunks(consumers, ids):
@@ -603,14 +603,11 @@ def _padded_lines(pieces):
 
 
 def write_price_csv(prices: PriceSeries, path):
-    def _write(fh):
-        fh.write("#unit=cents_per_kwh\n")
-        fh.write(",".join(PRICE_HEADER) + "\r\n")
-        for market, matrix in (("DA", prices.day_ahead), ("RT", prices.real_time)):
-            fh.write("".join([_ROW % (date, market, *cells)
-                              for date, cells in zip(_iso_dates(matrix), matrix.values.tolist())]))
-
-    atomic_write(path, _write)
+    lines = ["#unit=cents_per_kwh\n", ",".join(PRICE_HEADER) + "\r\n"]
+    for market, matrix in (("DA", prices.day_ahead), ("RT", prices.real_time)):
+        lines += [_ROW % (date, market, *cells)
+                  for date, cells in zip(_iso_dates(matrix), matrix.values.tolist())]
+    atomic_write(path, ["".join(lines).encode()])
 
 
 def _iso_dates(matrix: HourlyMatrix) -> list[str]:

@@ -107,6 +107,8 @@ def default_size_grid(n: int, smallest: int = 10) -> list[int]:
     n, smallest = _count(n, "n"), _count(smallest, "smallest")
     if n < 1:
         raise ValueError("population must be nonempty")
+    if smallest < 1:
+        raise ValueError("smallest must be >= 1")
     if n <= smallest:
         return list(range(1, n + 1))
     grid = np.logspace(np.log10(smallest), np.log10(n), 20)

@@ -11,7 +11,7 @@ included for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -61,6 +61,8 @@ def replay_validate(
     actual totals (day-ahead operation always knows yesterday's meter data).
     A selection with no usage in the replayed days raises, naming its members.
     """
+    if design not in get_args(SettlementDesign):  # before any fit or forecast
+        raise ValueError(f"unknown settlement design {design!r}")
     if selection is None:
         selection = SelectionVector(dataset.n_consumers, np.arange(dataset.n_consumers))
     if dataset.validate_days < 1:

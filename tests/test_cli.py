@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_force_min_lambda, vacate_validate
+from ratecraft import cli
 from ratecraft.cli import main
 from ratecraft.costs import consumer_stats
 from ratecraft.ingest import (
@@ -15,6 +16,7 @@ from ratecraft.ingest import (
     write_meter_csv,
     write_price_csv,
 )
+from ratecraft.segmentation import StabilityReport, StabilityViolation
 from ratecraft.types import HourlyMatrix, PriceSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -254,6 +256,27 @@ def test_segment_outputs(tmp_path, capsys):
     assert len(assigns) == 13
     out = capsys.readouterr().out
     assert "violations=0" in out
+
+
+def test_segment_writes_the_audit_violations_in_field_order(tmp_path, capsys, monkeypatch):
+    report = StabilityReport(pairs_checked=3, moves_checked=7, violations=(
+        StabilityViolation("rate_order", 1, 2, None, 0.25),
+        StabilityViolation("join_improves", 1, 3, 5, 1.5e-7),
+    ))
+    monkeypatch.setattr(cli, "stability_audit", lambda *args: report)
+    assert main(["segment", "--meter", METER, "--prices", PRICES, "--cv-threshold", "50",
+                 "--size-grid", "3,6,12", "--out-dir", str(tmp_path)]) == 0
+    assert "audit: pairs=3 moves=7 violations=2" in capsys.readouterr().out
+    audit = json.loads((tmp_path / "segmentation.json").read_text())["stability_audit"]
+    assert list(audit) == ["pairs_checked", "moves_checked", "violations"]
+    assert audit == {"pairs_checked": 3, "moves_checked": 7, "violations": [
+        {"kind": "rate_order", "earlier_round": 1, "later_round": 2, "consumer_index": None,
+         "magnitude": 0.25},
+        {"kind": "join_improves", "earlier_round": 1, "later_round": 3, "consumer_index": 5,
+         "magnitude": 1.5e-7},
+    ]}
+    fields = ["kind", "earlier_round", "later_round", "consumer_index", "magnitude"]
+    assert all(list(v) == fields for v in audit["violations"])
 
 
 def test_segment_rates_nondecreasing(tmp_path):

@@ -301,6 +301,17 @@ def test_predict_day_total_floor_and_history_check():
         predict_day(model, [1.0], 0)
     with pytest.raises(ValueError, match="day_of_week"):
         predict_day(model, [1.0, 2.0], 7)
+    with pytest.raises(ValueError, match="day_of_week must be an integer, got 1.5"):
+        predict_day(model, [1.0, 2.0], 1.5)
+    with pytest.raises(ValueError, match=r"day_of_week must be in \[0, 6\]"):
+        predict_day(model, [1.0, 2.0], -1)
+    lagged = GroupForecaster(intercept=1.0, coeffs=np.ones(2), shapes=np.full((7, 24), 1 / 24))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="history gives a non-finite predicted total"):
+            predict_day(lagged, [1.0] * 9 + [bad], 0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite predicted"):
+        predict_day(lagged, [1e308, 1e308], 0)  # finite lags whose sum overflows
+    assert np.allclose(predict_day(lagged, [float("nan"), 1.0, 2.0], 0), 4.0 / 24)
 
 
 @given(
@@ -518,6 +529,12 @@ def test_cv_point_validation():
         CvPoint(m=1, kind="random", cv=-0.1)
     with pytest.raises(ValueError, match="nonnegative"):
         CvPoint(m=1, kind="random", cv=float("nan"))
+    with pytest.raises(ValueError, match="m must be an integer, got 1.5"):
+        CvPoint(m=1.5, kind="random", cv=1.0)
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            CvPoint(m=m, kind="random", cv=1.0)
+    assert type(CvPoint(m=np.int64(4), kind="optimal", cv=0.0).m) is int
 
 
 def test_cv_curve_refuses_a_bad_gamma_before_any_backtest(synth_medium, monkeypatch):

@@ -1,5 +1,6 @@
 """Static checks on the package source: no unused import, `__all__` equal to the imports,
-an explicit encoding on every text file the package opens, and Python 3.10 grammar.
+an explicit encoding on every text file the package opens, `ingest.atomic_write` as the one
+place that writes a file, and Python 3.10 grammar.
 
 There is no linter among the test dependencies, so these read the source with `ast`.
 """
@@ -94,6 +95,49 @@ def test_the_encoding_check_sees_each_call_form():
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _opens_file(n)]
     assert [c.lineno for c in calls] == [1, 2, 3, 4, 6, 7, 8]
     assert [c.lineno for c in calls if _lacks_encoding(c)] == [1, 3, 4, 7]
+
+
+def _writes_file(call: ast.Call) -> bool:
+    """True for `os.open(...)`, `x.write_text(...)`, `x.write_bytes(...)`, and for `open(...)`
+    or `x.open(...)` whose mode holds "w", "a", "x" or "+", or is not a literal."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2]
+    elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        if isinstance(func.value, ast.Name) and func.value.id == "os":
+            return True
+        modes = call.args[:1]  # Path.open(mode)
+    else:
+        return False
+    modes += [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+def _file_writes(tree) -> tuple[list[int], list[int]]:
+    """The lines of the file-writing calls in `tree`, outside and inside `atomic_write`."""
+    inside = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "atomic_write" for n in ast.walk(node)}
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _writes_file(n)]
+    return ([c.lineno for c in calls if id(c) not in inside],
+            [c.lineno for c in calls if id(c) in inside])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_atomic_write_is_the_only_file_writer(path):
+    outside, inside = _file_writes(_tree(path))
+    assert not outside, f"{path.name}: a file is written outside ingest.atomic_write: {outside}"
+    assert len(inside) == (2 if path.name == "ingest.py" else 0)  # os.open and open(fd, "wb")
+
+
+def test_the_writer_check_sees_each_call_form():
+    tree = ast.parse("open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='ab')\nopen(p, 'r+')\n"
+                     "open(p, m)\nos.open(p, 0)\nP.write_text(t)\nP.write_bytes(b)\n"
+                     "P.open()\nP.open('x')\nP.read_text()\n"
+                     "def atomic_write(p, chunks):\n    os.open(p, 0)\n    open(fd, 'wb')\n")
+    assert _file_writes(tree) == ([3, 4, 5, 6, 7, 8, 9, 11], [14, 15])
 
 
 PYTHON_FLOOR = (3, 10)  # requires-python in pyproject.toml

@@ -156,12 +156,12 @@ def test_atomic_write_removes_temp_file_on_error(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("old\n")
 
-    def failing(fh):
-        fh.write("partial")
+    def failing():
+        yield b"partial"
         raise RuntimeError("disk full")
 
     with pytest.raises(RuntimeError, match="disk full"):
-        atomic_write(target, failing)
+        atomic_write(target, failing())
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
     assert target.read_text() == "old\n"
 
@@ -170,7 +170,7 @@ def test_atomic_write_gives_default_file_mode(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     target = tmp_path / "out.csv"
-    atomic_write(target, lambda fh: fh.write("a\n"))
+    atomic_write(target, [b"a\n"])
     assert target.read_text() == "a\n"
     assert target.stat().st_mode & 0o777 == 0o666 & ~umask
 

@@ -29,6 +29,10 @@ def test_default_size_grid():
     assert grid[-1] == 2000
     assert grid == sorted(grid)
     assert default_size_grid(5) == [1, 2, 3, 4, 5]
+    assert default_size_grid(100, smallest=1)[0] == 1
+    for smallest in (0, -2):
+        with pytest.raises(ValueError, match="smallest must be >= 1"):
+            default_size_grid(100, smallest=smallest)
 
 
 def _replicated_population(n, days=30, seed=0):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import vacate_validate
+from ratecraft import simulate
 from ratecraft.costs import expected_penalty, mean_real_time_price
 from ratecraft.forecast import DEFAULT_AR_ORDER, fit_profile, group_profile, residual_sigma
 from ratecraft.ingest import SynthSpec, align, synth_population
@@ -106,6 +107,18 @@ def test_replay_refuses_a_selection_vacant_in_the_replayed_days():
             replay_validate(vacant, sel, design="one_sided", n_days=n_days)
         assert str(exc.value) == message
     assert replay_validate(late_start, sel, design="one_sided", n_days=3).demand_kwh > 0
+
+
+def test_replay_refuses_an_unknown_design_before_any_work(monkeypatch):
+    ds = synth_population(SynthSpec(n_consumers=10, n_days=40, seed=5))
+    profiles = []
+    monkeypatch.setattr(simulate, "group_profile",
+                        lambda *args: profiles.append(args) or group_profile(*args))
+    with pytest.raises(ValueError, match="unknown settlement design 'bogus'"):
+        replay_validate(ds, design="bogus")
+    assert profiles == []
+    replay_validate(ds, design="one_sided", n_days=1)
+    assert len(profiles) == 1
 
 
 def test_replay_requires_validate_window():
