@@ -33,6 +33,7 @@ from .ingest import (
     EmptyTrainWindow,
     SynthSpec,
     _decode,
+    _text_lines,
     align,
     atomic_write,
     load_meter_csv,
@@ -390,17 +391,16 @@ def _run_segment(params):
 
 
 def _read_selection_ids(path) -> list[str]:
-    lines = _decode(Path(path).read_bytes(), path).splitlines()
-    if not lines or lines[0] != "consumer_id":
+    lines = _text_lines(path)
+    if lines[0] != "consumer_id":
         raise ValueError(f"{path}: expected a selection CSV with header consumer_id")
     ids = [line for line in lines[1:] if line]
     if not ids:
         raise ValueError(f"{path}: no consumer ids")
-    seen = set()
-    for cid in ids:
-        if cid in seen:
+    first = {}  # each id's first index
+    for i, cid in enumerate(ids):
+        if first.setdefault(cid, i) != i:
             raise ValueError(f"{path}: duplicate consumer id {cid}")
-        seen.add(cid)
     return ids
 
 

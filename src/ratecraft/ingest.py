@@ -9,19 +9,19 @@ quote or a line break, so that it is always one plain CSV field.
 
 One rule holds for a reading in a meter or a price file: its text is one
 ``np.loadtxt`` takes, and its value is finite and nonnegative. A double
-quote anywhere in a row is refused; no field is ever quoted.
+quote or a CR anywhere in a row is refused; no field is ever quoted.
 
 Files are UTF-8, and one that does not decode is refused with its path and
-the file row of its first bad byte.
-Written header and data lines end in CRLF, the price file's ``#unit=`` line
-in LF. LF and CRLF line ends are both read, and one leading UTF-8 byte-order
-mark is skipped. The meter file is read by one reader, in one vectorized
-pass over its bytes, in chunks of whole lines. Readings in the writer's form
-(digits, '.', 4 digits) are decoded exactly by digit arithmetic; the lines
-with other readings go through ``np.loadtxt``. The reader names every fault
-itself: a malformed row by the path and its file row, a date break by the path
-and its consumer. Its masks only mark suspect rows; one row check, the one
-authority, finds the first faulty row among them and words its fault. Its value
+the file row of its first bad byte; one leading byte-order mark is skipped.
+A CSV line ends at LF, one CR just before that LF belongs to the line end,
+and any other CR is part of the line: the meter reader's byte pass and
+`_text_lines` keep this one rule. Written lines end in CRLF, but the price
+file's ``#unit=`` line in LF. The meter file is read by one reader, in one
+vectorized pass over its bytes, in chunks of whole lines. Readings in the
+writer's form (digits, '.', 4 digits) are decoded exactly by digit arithmetic;
+the lines with other readings go through ``np.loadtxt``. The reader names every
+fault itself, a malformed row by its path and file row and a date break by its
+path and consumer, by one row check over the rows its masks mark. Its value
 block, grouped by consumer, is marked read-only and becomes the dataset's usage:
 each consumer's matrix is a view of its rows, and `Dataset.usage_stack` returns
 the block itself, so the usage is held once.
@@ -48,7 +48,6 @@ from __future__ import annotations
 import codecs
 import datetime as dt
 import functools
-import io
 import math
 import os
 import re
@@ -171,6 +170,12 @@ def _decode(data: bytes, path, row: int = 1) -> str:
                          f"at row {row}: {exc.reason}") from None
 
 
+def _text_lines(path) -> list[str]:
+    """Text file `path` decoded by `_decode`, split at each LF, one CR just before it dropped."""
+    with open(path, "rb") as fh:
+        return [line.removesuffix("\r") for line in _decode(fh.read(), path).split("\n")]
+
+
 def _parse_date(text: str, lineno: int, path: str) -> dt.date:
     """`text` as a date if it is exactly YYYY-MM-DD, the one date rule of every file."""
     if _DATE.fullmatch(text):
@@ -256,8 +261,8 @@ def load_meter_csv(path) -> list[ConsumerSeries]:
     consumer, ordinal = np.empty(0, np.int32), np.empty(0, np.int32)
     rows, lineno = 0, 2
     with open(path, "rb") as fh:
-        header = fh.readline().removeprefix(codecs.BOM_UTF8).rstrip(b"\r\n")
-        if header != _METER_HEADER_LINE.encode():
+        header = fh.readline().removeprefix(codecs.BOM_UTF8)
+        if header.removesuffix(b"\n").removesuffix(b"\r") != _METER_HEADER_LINE.encode():
             raise ValueError(f"{path}: expected meter header {','.join(METER_HEADER[:3])},...")
         size = os.fstat(fh.fileno()).st_size
         for buf in _line_chunks(fh):
@@ -425,35 +430,30 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
 
 
 def load_price_csv(path) -> PriceSeries:
-    """Load aligned DA/RT prices, converting to cents/kWh per the unit line."""
-    path = str(path)
-    with open(path, "rb") as fh:
-        text = _decode(fh.read(), path)
-    with io.StringIO(text, newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("#unit="):
-            raise ValueError(f"{path}: missing #unit= metadata line")
-        unit = first[len("#unit="):]
-        if unit not in _UNIT_SCALE:
-            raise ValueError(f"{path}: unknown price unit {unit!r}")
-        scale = _UNIT_SCALE[unit]
-        if fh.readline().rstrip("\r\n").split(",") != PRICE_HEADER:
-            raise ValueError(f"{path}: expected price header {','.join(PRICE_HEADER[:3])},...")
-        markets: dict[str, list[tuple[dt.date, np.ndarray]]] = {"DA": [], "RT": []}
-        for lineno, text in enumerate(fh, start=3):
-            text = text.rstrip("\r\n")
-            if not text:
-                continue
-            if '"' in text:
-                raise ValueError(f"{path}: double quote at row {lineno}")
-            row = text.split(",")
-            if len(row) != len(PRICE_HEADER):
-                raise ValueError(f"{path}: wrong column count at row {lineno}")
-            date = _parse_date(row[0], lineno, path)
-            market = row[1]
-            if market not in markets:
-                raise ValueError(f"{path}: unknown market {market!r} at row {lineno}")
-            markets[market].append((date, _parse_hours(text, lineno, path) * scale))
+    """Load aligned DA/RT prices from the lines of `_text_lines`, in cents/kWh per the unit line."""
+    lines = _text_lines(path)
+    first = lines[0].strip()
+    if not first.startswith("#unit="):
+        raise ValueError(f"{path}: missing #unit= metadata line")
+    unit = first[len("#unit="):]
+    if unit not in _UNIT_SCALE:
+        raise ValueError(f"{path}: unknown price unit {unit!r}")
+    if lines[1:2] != [",".join(PRICE_HEADER)]:
+        raise ValueError(f"{path}: expected price header {','.join(PRICE_HEADER[:3])},...")
+    markets: dict[str, list[tuple[dt.date, np.ndarray]]] = {"DA": [], "RT": []}
+    for lineno, text in enumerate(lines[2:], start=3):
+        if not text:
+            continue
+        if '"' in text or "\r" in text:
+            raise ValueError(f"{path}: double quote or carriage return at row {lineno}")
+        row = text.split(",")
+        if len(row) != len(PRICE_HEADER):
+            raise ValueError(f"{path}: wrong column count at row {lineno}")
+        date = _parse_date(row[0], lineno, path)
+        market = row[1]
+        if market not in markets:
+            raise ValueError(f"{path}: unknown market {market!r} at row {lineno}")
+        markets[market].append((date, _parse_hours(text, lineno, path) * _UNIT_SCALE[unit]))
 
     for name, rows in markets.items():
         if not rows:

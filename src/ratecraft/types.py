@@ -65,8 +65,10 @@ def _readonly(values, name: str, shape: tuple, nonnegative: bool = True) -> np.n
 def _count(value, name: str) -> int:
     """`value` as an int when it is one to `operator.index`, else a ValueError naming `name`.
 
-    Floats, numpy floats and strings are refused, not truncated or parsed.
+    Floats, numpy floats and strings are refused, not truncated or parsed, and so is a bool.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

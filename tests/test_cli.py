@@ -17,7 +17,7 @@ from ratecraft.ingest import (
     write_price_csv,
 )
 from ratecraft.segmentation import StabilityReport, StabilityViolation
-from ratecraft.types import HourlyMatrix, PriceSeries
+from ratecraft.types import ConsumerSeries, HourlyMatrix, PriceSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 METER = str(FIXTURES / "meter_n12.csv")
@@ -515,11 +515,32 @@ def test_selection_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
     plain = tmp_path / "selection.csv"
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-    for name, selection in (("plain", plain), ("bom", bom)):
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    for name, selection in (("plain", plain), ("bom", bom), ("crlf", crlf)):
         assert main(["simulate", "--meter", METER, "--prices", PRICES,
                      "--selection", str(selection), "--out-dir", str(tmp_path / name)]) == 0
-    assert ((tmp_path / "plain" / "settlement.csv").read_bytes()
-            == (tmp_path / "bom" / "settlement.csv").read_bytes())
+    for name in ("bom", "crlf"):
+        assert ((tmp_path / "plain" / "settlement.csv").read_bytes()
+                == (tmp_path / name / "settlement.csv").read_bytes())
+
+
+def test_selection_round_trip_keeps_ids_that_other_line_rules_split(tmp_path, capsys):
+    """`solve` writes the ids it reads, and `simulate --selection` reads them back whole: a
+    form feed, \\x1c, \\x85 or U+2028 inside an id is part of it, not a line end."""
+    ds = synth_population(SynthSpec(n_consumers=20, n_days=24, seed=5))
+    odd = ["a\x0cb", "c\x1cd", "e\x85f", "g\u2028h"]
+    consumers = [ConsumerSeries(odd[i] if i < len(odd) else c.consumer_id, c.usage)
+                 for i, c in enumerate(ds.consumers)]
+    write_meter_csv(consumers, tmp_path / "meter.csv")
+    write_price_csv(ds.prices, tmp_path / "prices.csv")
+    data = ["--meter", str(tmp_path / "meter.csv"), "--prices", str(tmp_path / "prices.csv"),
+            "--out-dir", str(tmp_path)]
+    assert main(["solve", "--m", "20", *data]) == 0
+    assert set(odd) <= set(cli._read_selection_ids(tmp_path / "selection.csv"))
+    assert main(["simulate", "--selection", str(tmp_path / "selection.csv"), *data]) == 0
+    lines = (tmp_path / "settlement.csv").read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines[1:-1]) == ds.validate_days == 6
 
 
 def test_files_that_are_not_utf8_are_named_and_keep_their_exit_codes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused import, `__all__` equal to the imports,
 an explicit encoding on every text file the package opens, `ingest.atomic_write` as the one
-place that writes a file, and Python 3.10 grammar.
+place that writes a file, `ingest._text_lines` as the one place that splits text into lines,
+and Python 3.10 grammar.
 
 There is no linter among the test dependencies, so these read the source with `ast`.
 """
@@ -138,6 +139,49 @@ def test_the_writer_check_sees_each_call_form():
                      "P.open()\nP.open('x')\nP.read_text()\n"
                      "def atomic_write(p, chunks):\n    os.open(p, 0)\n    open(fd, 'wb')\n")
     assert _file_writes(tree) == ([3, 4, 5, 6, 7, 8, 9, 11], [14, 15])
+
+
+def _splits_lines(node: ast.AST) -> bool:
+    """True for a `splitlines` call, a `StringIO` name, a `strip`, `lstrip` or `rstrip` whose
+    argument is a literal holding CR or LF, and a `split` at a literal holding LF."""
+    if isinstance(node, ast.Name):
+        return node.id == "StringIO"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "StringIO"
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    literals = [a.value if isinstance(a.value, str) else a.value.decode("latin-1")
+                for a in node.args
+                if isinstance(a, ast.Constant) and isinstance(a.value, (str, bytes))]
+    method = node.func.attr
+    if method in ("strip", "lstrip", "rstrip"):
+        return any(set(text) & set("\r\n") for text in literals)
+    return method == "splitlines" or (method == "split" and any("\n" in t for t in literals))
+
+
+def _line_splits(tree) -> tuple[list[int], list[int]]:
+    """The lines of the line-splitting nodes in `tree`, outside and inside `_text_lines`."""
+    inside = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_text_lines" for n in ast.walk(node)}
+    nodes = [n for n in ast.walk(tree) if _splits_lines(n)]
+    return (sorted(n.lineno for n in nodes if id(n) not in inside),
+            sorted(n.lineno for n in nodes if id(n) in inside))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_text_lines_is_the_only_line_splitter(path):
+    outside, inside = _line_splits(_tree(path))
+    assert not outside, f"{path.name}: lines are split outside ingest._text_lines: {outside}"
+    assert len(inside) == (1 if path.name == "ingest.py" else 0)  # its one split("\n")
+
+
+def test_the_line_split_check_sees_each_call_form():
+    tree = ast.parse("t.splitlines()\nio.StringIO(t)\nStringIO(t)\nt.rstrip('\\r\\n')\n"
+                     "b.rstrip(b'\\n')\nt.strip('\\r')\nt.lstrip('\\n ')\nt.rstrip()\n"
+                     "t.strip()\nt.rstrip(ends)\nt.split(',')\nt.split('\\n')\n"
+                     "b.split(b'\\r\\n')\nt.removesuffix('\\r')\n"
+                     "def _text_lines(p):\n    return t.split('\\n')\n")
+    assert _line_splits(tree) == ([1, 2, 3, 4, 5, 6, 7, 12, 13], [16])
 
 
 PYTHON_FLOOR = (3, 10)  # requires-python in pyproject.toml

@@ -54,7 +54,7 @@ def _strict_meter_rows(path):
     path = str(path)
     with open(path, "rb") as fh:
         lines = fh.read().removeprefix(codecs.BOM_UTF8).decode("utf-8").split("\n")
-    if lines[0].rstrip("\r") != ",".join(METER_HEADER):
+    if lines[0].removesuffix("\r") != ",".join(METER_HEADER):
         raise ValueError(f"{path}: expected meter header consumer_id,date,h00,...")
     days_of = {}
     for row, text in enumerate(lines[1:], start=2):
@@ -214,10 +214,22 @@ def test_meter_zero_consumer(tmp_path):
 
 
 def test_meter_bad_header(tmp_path):
+    """A header line ends in LF or CRLF only: one more CR before them is part of the header."""
     path = tmp_path / "meter.csv"
-    path.write_text("consumer,date,h00\n")
-    with pytest.raises(ValueError, match="meter header"):
-        load_meter_csv(path)
+    for text in ("consumer,date,h00\n", _meter_lines([]).replace("\n", "\r\r\n")):
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError, match="meter header"):
+            load_meter_csv(path)
+
+
+def test_price_bad_header(tmp_path):
+    path = tmp_path / "prices.csv"
+    rows = ["2021-01-04,DA," + _day_cells(1.0), "2021-01-04,RT," + _day_cells(1.0)]
+    header = "date,market," + ",".join(f"h{h:02d}" for h in range(24))
+    for bad in ("date,market,h00", header + "\r\r"):  # then LF: a CR CR LF line end
+        path.write_text(_price_lines(rows).replace(header, bad), newline="")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected price header "):
+            load_price_csv(path)
 
 
 def test_price_roundtrip(tmp_path):
@@ -1151,8 +1163,13 @@ def test_meter_reader_names_the_consumer_of_the_first_date_break(tmp_path):
 
 
 def test_price_rows_refuse_a_double_quote(tmp_path):
+    """A double quote in a row is refused, and so is a CR that is not part of a line end: a
+    line ending in a lone CR, or in CR CR LF, is refused as the meter reader refuses it."""
     path = tmp_path / "prices.csv"
-    path.write_text(_price_lines(['2021-01-04,"DA",' + _day_cells(1.0),
-                                  "2021-01-04,RT," + _day_cells(1.0)]), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: double quote at row 3')}$"):
-        load_price_csv(path)
+    da, rt = "2021-01-04,DA," + _day_cells(1.0), "2021-01-04,RT," + _day_cells(1.0)
+    for rows in (['2021-01-04,"DA",' + _day_cells(1.0), rt], [da + "\r" + rt],
+                 [da + "\r\r", rt + "\r\r"]):
+        path.write_text(_price_lines(rows), encoding="utf-8", newline="")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: double quote or "
+                                             "carriage return at row 3$"):
+            load_price_csv(path)

@@ -334,6 +334,8 @@ def test_selection_from_indices_errors(indices, message):
      "group size m must be an integer, got 2.0"),
     (lambda ds: solve_min_lambda(consumer_stats(ds), 2.0),
      "group size m must be an integer, got 2.0"),
+    (lambda ds: solve_min_lambda(consumer_stats(ds), True),
+     "group size m must be an integer, got True"),
     (lambda ds: lambda_curve(consumer_stats(ds), [2, 3.0]),
      "group size m must be an integer, got 3.0"),
     (lambda ds: cv_curve(ds, [np.float64(3.0)]), r"each of sizes must be an integer, got "),
@@ -348,21 +350,27 @@ def test_selection_from_indices_errors(indices, message):
     (lambda ds: SynthSpec(3.5, 10), "n_consumers must be an integer, got 3.5"),
     (lambda ds: SynthSpec(3, 10.5), "n_days must be an integer, got 10.5"),
     (lambda ds: SynthSpec(3, 10, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda ds: SynthSpec(n_consumers=True, n_days=30, seed=True),
+     "n_consumers must be an integer, got True"),
+    (lambda ds: SynthSpec(3, 30, seed=True), "seed must be an integer, got True"),
     (lambda ds: default_size_grid(10.5), "n must be an integer, got 10.5"),
+    (lambda ds: default_size_grid(True), "n must be an integer, got True"),
     (lambda ds: default_size_grid(40, smallest=2.5), "smallest must be an integer, got 2.5"),
     (lambda ds: SegmentGroup(1.5, SelectionVector(3, [1]), 2.0, 5.0, True),
      "round must be an integer, got 1.5"),
     (lambda ds: DailySettlement(1.5, np.ones(24), np.ones(24), 1.0),
      "day_index must be an integer, got 1.5"),
     (lambda ds: fit_ar(np.arange(10.0), 2.5), "order must be an integer, got 2.5"),
-], ids=["train_days", "validate_days", "feasibility_test", "solve_min_lambda", "lambda_curve",
-        "cv_curve sizes", "cv_curve trials", "size_grid floats", "size_grid str",
-        "replay n_days", "selection n", "synth n_consumers", "synth n_days", "synth seed",
-        "size grid n", "size grid smallest", "group round", "settlement day_index",
+], ids=["train_days", "validate_days", "feasibility_test", "solve_min_lambda",
+        "solve_min_lambda bool", "lambda_curve", "cv_curve sizes", "cv_curve trials",
+        "size_grid floats", "size_grid str", "replay n_days", "selection n", "synth n_consumers",
+        "synth n_days", "synth seed", "synth bool n_consumers", "synth bool seed", "size grid n",
+        "size grid bool n", "size grid smallest", "group round", "settlement day_index",
         "ar order"])
 def test_counts_refuse_non_integers(synth_small, call, message):
-    """A count is an integer by operator.index: a float or a string is refused with the
-    argument's name before any work, not truncated, parsed or failed on deep inside numpy."""
+    """A count is an integer by operator.index: a float, a string or a bool is refused with the
+    argument's name before any work, not truncated, parsed, taken as 1 or failed on deep inside
+    numpy."""
     with pytest.raises(ValueError, match=f"^{message}"):
         call(synth_small)
 
