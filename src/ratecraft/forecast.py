@@ -17,7 +17,7 @@ import numpy as np
 
 from .costs import consumer_stats
 from .solver import DEFAULT_GAMMA, solve_min_lambda
-from .types import HOURS, Dataset, ForecastErrorModel, SelectionVector, _count, _readonly
+from .types import HOURS, Dataset, SelectionVector, _count, _readonly
 
 DEFAULT_AR_ORDER = 7  # one week of lags
 MIN_TRAIN_DAYS = 14  # every weekday seen at least twice
@@ -195,7 +195,7 @@ def predict_rows(
 
     Row k is predicted by predict_day from the actual daily totals before it
     and the weekday of row k. This is the one walk-forward loop: the
-    backtest, the error model and the replay all call it.
+    backtest and the replay call it; the replay's first rows give its error model.
     """
     if not (model.order <= start <= stop <= len(totals)):
         raise ValueError(
@@ -231,29 +231,20 @@ def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
 def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
     """Fit on the training window, evaluate CV over the whole validate window.
 
-    A group with no usage in the validate window has no CV, so that raises.
+    A group with no usage in the validate window has no CV, and one with none in the
+    training window has no forecaster, so both raise, naming its members.
     """
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
     profile = group_profile(dataset, u)
     _require_usage(dataset, u, profile[dataset.train_days :], "validate window")
+    _require_usage(dataset, u, profile[: dataset.train_days], "training window")
     model = fit_profile(profile, dataset.train_days, dataset.start_weekday)
     preds = predict_rows(
         model, profile.sum(axis=1), dataset.train_days, dataset.n_days, dataset.start_weekday
     )
     actual = profile[dataset.train_days :]
     return cv(actual.ravel(), preds.ravel())
-
-
-def residual_sigma(
-    profile: np.ndarray, model: GroupForecaster, start: int, stop: int, start_weekday: int
-) -> ForecastErrorModel:
-    """Per-hour standard deviation of the one-step residuals on rows [start, stop)."""
-    if stop - start < 2:
-        raise ValueError("need at least two residual days to estimate sigma")
-    preds = predict_rows(model, profile.sum(axis=1), start, stop, start_weekday)
-    residuals = profile[start:stop] - preds
-    return ForecastErrorModel(sigma=residuals.std(axis=0, ddof=1))
 
 
 def cv_curve(

@@ -432,12 +432,14 @@ def _meter_chunk(buf: bytes, lineno: int, path: str, ordinal_of: dict[int, int])
 def load_price_csv(path) -> PriceSeries:
     """Load aligned DA/RT prices from the lines of `_text_lines`, in cents/kWh per the unit line."""
     lines = _text_lines(path)
+    if '"' in lines[0] or "\r" in lines[0]:
+        raise ValueError(f"{path}: double quote or carriage return at row 1")
     first = lines[0].strip()
     if not first.startswith("#unit="):
         raise ValueError(f"{path}: missing #unit= metadata line")
     unit = first[len("#unit="):]
     if unit not in _UNIT_SCALE:
-        raise ValueError(f"{path}: unknown price unit {unit!r}")
+        raise ValueError(f"{path}: unknown price unit {unit[:40]!r}")
     if lines[1:2] != [",".join(PRICE_HEADER)]:
         raise ValueError(f"{path}: expected price header {','.join(PRICE_HEADER[:3])},...")
     markets: dict[str, list[tuple[dt.date, np.ndarray]]] = {"DA": [], "RT": []}

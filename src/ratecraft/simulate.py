@@ -24,8 +24,8 @@ from .costs import (
     realized_cost,
     realized_rate,
 )
-from .forecast import _require_usage, fit_profile, group_profile, predict_rows, residual_sigma
-from .types import Dataset, SelectionVector, _count
+from .forecast import _require_usage, fit_profile, group_profile, predict_rows
+from .types import Dataset, ForecastErrorModel, SelectionVector, _count
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,13 @@ def replay_validate(
 ) -> ReplayReport:
     """Forecast, purchase and settle each validate day for the selected group.
 
-    The error model feeding the purchase rule is estimated from one-step
-    residuals inside the training window; the expected real-time price is the
+    One forecast walk covers rows [order, train_days + days): its training rows'
+    one-step residuals give the error model feeding the purchase rule, and its
+    later rows are the replayed forecasts. The expected real-time price is the
     training window's per-hour mean. History fed to the forecaster uses
     actual totals (day-ahead operation always knows yesterday's meter data).
-    A selection with no usage in the replayed days raises, naming its members.
+    A selection with no usage in the replayed days or in the training window
+    raises, naming its members.
     """
     if design not in get_args(SettlementDesign):  # before any fit or forecast
         raise ValueError(f"unknown settlement design {design!r}")
@@ -72,45 +74,42 @@ def replay_validate(
         raise ValueError(f"n_days must be in [1, {dataset.validate_days}]")
 
     train_days, start_weekday = dataset.train_days, dataset.start_weekday
+    stop = train_days + total_days
     profile = group_profile(dataset, selection)
-    _require_usage(
-        dataset, selection, profile[train_days : train_days + total_days], "replayed days"
-    )
+    _require_usage(dataset, selection, profile[train_days:stop], "replayed days")
+    _require_usage(dataset, selection, profile[:train_days], "training window")
     model = fit_profile(profile, train_days, start_weekday)
-    error_model = residual_sigma(profile, model, model.order, train_days, start_weekday)
-    q_mean = mean_real_time_price(dataset)
     totals = profile.sum(axis=1)
-    forecasts = predict_rows(model, totals, train_days, train_days + total_days, start_weekday)
+    preds = predict_rows(model, totals, model.order, stop, start_weekday)
+    fitted = train_days - model.order
+    residuals = profile[model.order : train_days] - preds[:fitted]
+    error_model = ForecastErrorModel(sigma=residuals.std(axis=0, ddof=1))
+    q_mean = mean_real_time_price(dataset)
 
     p_all = dataset.prices.day_ahead.values
     q_all = dataset.prices.real_time.values
 
     settlements: list[DailySettlement] = []
-    day_costs = np.empty(total_days)
-    day_demand = np.empty(total_days)
     da_value = 0.0  # sum of p . d over replayed days
     expected_total = 0.0
-    for step in range(total_days):
-        k = train_days + step
-        plan = newsvendor_purchase(forecasts[step], error_model, p_all[k], q_mean)
+    for k, forecast in zip(range(train_days, stop), preds[fitted:]):
+        plan = newsvendor_purchase(forecast, error_model, p_all[k], q_mean)
         cost = realized_cost(p_all[k], q_all[k], plan.purchase, profile[k], design)
         settlements.append(
             DailySettlement(day_index=k, purchased=plan.purchase, consumed=profile[k], cost=cost)
         )
-        day_costs[step] = cost
-        day_demand[step] = totals[k]
         da_value += float(p_all[k] @ profile[k])
         expected_total += expected_penalty(error_model, p_all[k], q_mean)
 
-    rate = realized_rate(day_costs, day_demand)
+    day_costs = np.array([s.cost for s in settlements])
+    day_demand = totals[train_days:stop]
     demand = float(day_demand.sum())
-    lam = da_value / demand
     return ReplayReport(
         design=design,
         settlements=tuple(settlements),
         demand_kwh=demand,
         cost_cents=float(day_costs.sum()),
-        realized_rate=rate,
-        lambda_rate=lam,
+        realized_rate=realized_rate(day_costs, day_demand),
+        lambda_rate=da_value / demand,
         expected_gap=expected_total / demand,
     )

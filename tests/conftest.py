@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from ratecraft.forecast import predict_rows
 from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.solver import SolveResult, _check_m
-from ratecraft.types import ConsumerSeries, Dataset, HourlyMatrix, PriceSeries, SelectionVector
+from ratecraft.types import (
+    ConsumerSeries, Dataset, ForecastErrorModel, HourlyMatrix, PriceSeries, SelectionVector,
+)
 
 settings.register_profile(
     "det",
@@ -58,6 +61,12 @@ def brute_force_min_lambda(stats, m: int) -> SolveResult:
     )
 
 
+def one_step_sigma(profile, model, start, stop, start_weekday) -> ForecastErrorModel:
+    """Per-hour standard deviation of the one-step residuals of rows [start, stop)."""
+    preds = predict_rows(model, profile.sum(axis=1), start, stop, start_weekday)
+    return ForecastErrorModel(sigma=(profile[start:stop] - preds).std(axis=0, ddof=1))
+
+
 def mask(selection: SelectionVector) -> np.ndarray:
     """The selection as a boolean mask over its n consumers."""
     bits = np.zeros(selection.n, dtype=bool)
@@ -92,10 +101,15 @@ def make_dataset(usages, da, rt=None, train_days=None, ids=None, start=START):
 def vacate_validate(ds, members, days=None):
     """ds where `members` use nothing on the first `days` validate days (default: all)."""
     stop = ds.n_days if days is None else ds.train_days + days
+    return vacate_rows(ds, members, ds.train_days, stop)
+
+
+def vacate_rows(ds, members, start, stop):
+    """ds where `members` use nothing on rows [start, stop)."""
     consumers = list(ds.consumers)
     for i in members:
         usage = consumers[i].usage.values.copy()
-        usage[ds.train_days : stop] = 0.0
+        usage[start:stop] = 0.0
         consumers[i] = ConsumerSeries(consumers[i].consumer_id, HourlyMatrix(usage, ds.start_date))
     return Dataset(consumers, ds.prices, ds.train_days, ds.validate_days)
 

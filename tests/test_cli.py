@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_force_min_lambda, vacate_validate
+from conftest import brute_force_min_lambda, vacate_rows, vacate_validate
 from ratecraft import cli
 from ratecraft.cli import main
 from ratecraft.costs import consumer_stats
@@ -336,6 +336,22 @@ def test_group_vacant_in_the_validate_window_is_named(tmp_path, capsys):
     )
 
 
+def test_group_vacant_in_the_training_window_is_named(tmp_path, capsys):
+    ds = synth_population(SynthSpec(n_consumers=30, n_days=40, seed=3))
+    ids = ds.consumer_ids
+    write_meter_csv(list(vacate_rows(ds, [4, 9], 0, ds.train_days).consumers),
+                    tmp_path / "meter.csv")
+    write_price_csv(ds.prices, tmp_path / "prices.csv")
+    (tmp_path / "selection.csv").write_text(f"consumer_id\n{ids[4]}\n{ids[9]}\n")
+    rc = main(["simulate", "--selection", str(tmp_path / "selection.csv"),
+               "--meter", str(tmp_path / "meter.csv"), "--prices", str(tmp_path / "prices.csv"),
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: the group of 2 consumer(s) has no usage in the training window: {ids[4]}, {ids[9]}\n"
+    )
+
+
 def test_simulate_takes_no_gamma(tmp_path, capsys):
     rc = main(["simulate", "--meter", METER, "--prices", PRICES, "--gamma", "5",
                "--out-dir", str(tmp_path)])
@@ -348,7 +364,8 @@ def test_simulate_takes_no_gamma(tmp_path, capsys):
     ("consumer_id\n", "no consumer ids"),
     ("consumer_id\nnight-00006\nnight-00007\nnight-00006\n",
      "duplicate consumer id night-00006"),
-], ids=["unknown", "empty", "duplicate"])
+    ("id\nnight-00006\n", "expected a selection CSV with header consumer_id"),
+], ids=["unknown", "empty", "duplicate", "header"])
 def test_simulate_unknown_selection_ids(tmp_path, capsys, text, message):
     bad = tmp_path / "selection.csv"
     bad.write_text(text)
@@ -357,7 +374,7 @@ def test_simulate_unknown_selection_ids(tmp_path, capsys, text, message):
         "--selection", str(bad), "--out-dir", str(tmp_path),
     ])
     assert rc == 1
-    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -454,19 +471,20 @@ _ROUNDS_TO_ZERO = ("error: base_kwh_per_day={} with noise_cv={} rounds every rea
                    "consumer(s) to 0 at 4 decimals, first peak-00000\n")
 
 
-@pytest.mark.parametrize("argv, size_grid, err", [
+@pytest.mark.parametrize("argv, config, err", [
     (["curves", "--sizes", "a,b"], None, _NOT_INTS.format("a,b")),
     (["curves", "--sizes", "0,2"], None, "error: sizes must be positive integers\n"),
     (["curves", "--sizes", ","], None, "error: sizes must be positive integers\n"),
     (["segment", "--size-grid", "x"], None, _NOT_INTS.format("x")),
     (["segment", "--size-grid", "0"], None, "error: size-grid must be positive integers\n"),
-    (["segment"], {}, "error: {cfg}: config key 'size_grid': "
-                      "expected a string or a list of integers, got {{}}\n"),
-    (["segment"], [3, 2.5], "error: {cfg}: config key 'size_grid': "
-                            "expected a string or a list of integers, got [3, 2.5]\n"),
-    (["segment"], "a", "error: {cfg}: config key 'size_grid': "
-                       "expected a comma-separated list of integers, got 'a'\n"),
-    (["segment"], [0], "error: size-grid must be positive integers\n"),
+    (["segment"], {"size_grid": {}}, "error: {cfg}: config key 'size_grid': "
+                                     "expected a string or a list of integers, got {{}}\n"),
+    (["segment"], {"size_grid": [3, 2.5]}, "error: {cfg}: config key 'size_grid': "
+                                           "expected a string or a list of integers, got [3, 2.5]\n"),
+    (["segment"], {"size_grid": "a"}, "error: {cfg}: config key 'size_grid': "
+                                      "expected a comma-separated list of integers, got 'a'\n"),
+    (["segment"], {"size_grid": [0]}, "error: size-grid must be positive integers\n"),
+    (["segment"], {"policy": "keep"}, "error: policy must be aggregate or drop\n"),
     (["curves", "--split", "1.0"], None, _SPLIT_ONE),
     (["segment", "--split", "1.0"], None, _SPLIT_ONE),
     (["simulate", "--split", "1.0"], None, _SPLIT_ONE),
@@ -485,15 +503,15 @@ _ROUNDS_TO_ZERO = ("error: base_kwh_per_day={} with noise_cv={} rounds every rea
     (["synth", "--n", "3", "--days", "5", "--noise-cv", "1e100"], None,
      _ROUNDS_TO_ZERO.format("10", "1e+100")),
 ], ids=["sizes-letters", "sizes-zero", "sizes-empty", "grid-letter", "grid-zero",
-        "config-object", "config-fraction", "config-letter", "config-zero",
+        "config-object", "config-fraction", "config-letter", "config-zero", "config-policy",
         "split-curves", "split-segment", "split-simulate", "sizes-before-split",
         "synth-noise", "synth-n", "synth-seed", "synth-base-nan", "synth-base-inf",
         "synth-noise-nan", "synth-noise-inf", "synth-noise-huge", "synth-base-huge",
         "synth-base-rounds-to-zero", "synth-noise-rounds-to-zero"])
-def test_parameter_errors_exit_2_with_exact_message(tmp_path, capsys, argv, size_grid, err):
+def test_parameter_errors_exit_2_with_exact_message(tmp_path, capsys, argv, config, err):
     cfg = tmp_path / "config.json"
-    if size_grid is not None:
-        cfg.write_text(json.dumps({"size_grid": size_grid}))
+    if config is not None:
+        cfg.write_text(json.dumps(config))
         argv = argv + ["--config", str(cfg)]
     if argv[0] != "synth":
         argv = argv + ["--meter", METER, "--prices", PRICES]

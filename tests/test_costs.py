@@ -121,6 +121,17 @@ def test_group_lambda_singleton_reduction():
     assert group_lambda(stats, sel) == stats.ratios[1]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: group_lambda(CostStats(t=[1.0, 2.0], w=[1.0, 1.0]), SelectionVector(3, [0])),
+     "selection length does not match stats"),
+    (lambda: realized_cost(np.ones(24), np.ones(24), np.ones(24), np.ones(23)),
+     "price and quantity vectors must have equal shapes"),
+], ids=["group-lambda", "realized-cost"])
+def test_costs_refuse_inputs_of_unequal_length(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_group_lambda_weighted_mean():
     # rates 2 (w=1) and 4 (w=3) blend to 3.5
     stats = CostStats(t=[2.0, 12.0], w=[1.0, 3.0])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, mask, vacate_validate
+from conftest import make_dataset, mask, one_step_sigma, vacate_rows, vacate_validate
 from ratecraft import forecast
 from ratecraft.forecast import (
     DEFAULT_AR_ORDER,
@@ -23,7 +23,6 @@ from ratecraft.forecast import (
     group_profile,
     predict_day,
     predict_rows,
-    residual_sigma,
 )
 from ratecraft.ingest import SynthSpec, synth_population
 from ratecraft.types import SelectionVector
@@ -63,6 +62,8 @@ def test_fit_ar_input_validation():
         fit_ar([1.0, 2.0, 3.0], order=3)
     with pytest.raises(ValueError, match="order"):
         fit_ar([1.0, 2.0], order=0)
+    with pytest.raises(ValueError, match="^series must be 1-D$"):
+        fit_ar(np.ones((10, 2)), order=2)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -375,6 +376,17 @@ def test_forecaster_order_is_the_number_of_coefficients(order):
             GroupForecaster(0.0, coeffs, shapes)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: GroupForecaster(0.0, np.zeros(3), np.full((7, 24), 1.0 / 12.0)),
+     "every load shape must sum to 1"),
+    (lambda ds: group_profile(ds, SelectionVector(ds.n_consumers + 1, [0])),
+     "selection length does not match dataset"),
+], ids=["shapes", "selection-length"])
+def test_forecast_inputs_of_the_wrong_form_are_refused(synth_small, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(synth_small)
+
+
 def test_predict_rows_rejects_rows_without_history():
     model = GroupForecaster(
         intercept=1.0, coeffs=np.zeros(3), shapes=np.full((7, 24), 1.0 / 24.0)
@@ -415,6 +427,8 @@ def test_cv_input_validation():
         cv([1.0, 2.0], [1.0])
     with pytest.raises(ValueError, match="positive"):
         cv([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^cannot evaluate cv on empty series$"):
+        cv([], [])
 
 
 # -- backtests --------------------------------------------------------------------
@@ -427,8 +441,10 @@ def test_backtest_exact_on_noiseless_data():
 
 def test_backtest_requires_validate_days():
     ds = make_dataset([np.ones((20, 24))], da=np.ones(24), train_days=20)
-    with pytest.raises(ValueError, match="validate window is empty"):
+    with pytest.raises(ValueError, match="^validate window is empty$"):
         backtest_cv(ds, _everyone(ds))
+    with pytest.raises(ValueError, match="^validate window is empty$"):
+        cv_curve(ds, [1])
 
 
 def test_backtest_refuses_a_group_vacant_in_the_validate_window():
@@ -444,6 +460,18 @@ def test_backtest_refuses_a_group_vacant_in_the_validate_window():
         backtest_cv(vacant, SelectionVector(30, range(7)))
     assert str(seven.value) == (
         "the group of 7 consumer(s) has no usage in the validate window: " + ", ".join(ids[:5])
+    )
+    backtest_cv(vacant, SelectionVector(30, [4, 20]))  # one active member suffices
+
+
+def test_backtest_refuses_a_group_vacant_in_the_training_window():
+    ds = synth_population(SynthSpec(n_consumers=30, n_days=40, seed=3))
+    vacant = vacate_rows(ds, [4, 9], 0, ds.train_days)
+    with pytest.raises(ValueError) as exc:
+        backtest_cv(vacant, SelectionVector(30, [4, 9]))
+    assert str(exc.value) == (
+        "the group of 2 consumer(s) has no usage in the training window: "
+        f"{ds.consumer_ids[4]}, {ds.consumer_ids[9]}"
     )
     backtest_cv(vacant, SelectionVector(30, [4, 20]))  # one active member suffices
 
@@ -464,22 +492,22 @@ def test_forecaster_roughly_unbiased(synth_medium):
     assert abs(errors.mean()) <= 2 * se
 
 
-def test_residual_sigma_zero_noise():
+def test_predict_rows_residual_sigma_zero_noise():
     ds = synth_population(SynthSpec(n_consumers=4, n_days=30, noise_cv=0.0, seed=3))
     sel = _everyone(ds)
-    em = residual_sigma(
+    em = one_step_sigma(
         group_profile(ds, sel), _fit(ds, sel), DEFAULT_AR_ORDER, ds.train_days, ds.start_weekday
     )
     assert np.all(em.sigma <= 1e-9)
 
 
-def test_residual_sigma_windows(synth_medium):
+def test_predict_rows_residual_sigma_windows(synth_medium):
     sel = _everyone(synth_medium)
     profile, model = group_profile(synth_medium, sel), _fit(synth_medium, sel)
-    train_sigma = residual_sigma(
+    train_sigma = one_step_sigma(
         profile, model, DEFAULT_AR_ORDER, synth_medium.train_days, synth_medium.start_weekday
     )
-    val_sigma = residual_sigma(
+    val_sigma = one_step_sigma(
         profile, model, synth_medium.train_days, synth_medium.n_days, synth_medium.start_weekday
     )
     assert train_sigma.sigma.shape == (24,)

@@ -270,10 +270,31 @@ def test_price_date_mismatch(tmp_path):
 
 
 def test_price_unknown_unit(tmp_path):
+    """An unknown unit is echoed, cut to 40 characters: a unit line with no line end runs to
+    the end of the file."""
     path = tmp_path / "prices.csv"
-    path.write_text(_price_lines(["2021-01-04,DA," + _day_cells(3.0)], unit="eur_per_mwh"))
-    with pytest.raises(ValueError, match="unknown price unit"):
+    for text, echoed in (
+        (_price_lines(["2021-01-04,DA," + _day_cells(3.0)], unit="eur_per_mwh"), "eur_per_mwh"),
+        ("#unit=" + "x" * 100_000, "x" * 40),
+    ):
+        path.write_text(text, encoding="utf-8", newline="")
+        with pytest.raises(ValueError) as exc:
+            load_price_csv(path)
+        assert str(exc.value) == f"{path}: unknown price unit {echoed!r}"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_price_lines(["2021-01-04,DA," + _day_cells(3.0)]).split("\n", 1)[1],
+     "missing #unit= metadata line"),
+    (_price_lines(["2021-01-04,DA," + _day_cells(3.0)[:-7]]), "wrong column count at row 3"),
+    (_price_lines(["2021-01-04,DA," + _day_cells(3.0)]), "no RT rows"),
+], ids=["no-unit-line", "columns", "no-rt-rows"])
+def test_price_file_faults_name_the_file(tmp_path, text, message):
+    path = tmp_path / "prices.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ValueError) as exc:
         load_price_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_price_unknown_market(tmp_path):
@@ -353,6 +374,8 @@ def test_align_disjoint():
     prices = PriceSeries(_series(dt.date(2021, 2, 1), 3, 3.0), _series(dt.date(2021, 2, 1), 3, 3.0))
     with pytest.raises(ValueError, match="no overlapping dates"):
         align(consumers, prices, split=0.5)
+    with pytest.raises(ValueError, match="^no consumers to align$"):
+        align([], prices, split=0.5)
 
 
 def test_synth_zero_noise_is_deterministic():
@@ -525,6 +548,8 @@ def test_synth_spec_validation():
         SynthSpec(n_consumers=1, n_days=2, fraction_peaky=1.5)
     with pytest.raises(ValueError, match="noise_cv must be >= 0"):
         SynthSpec(n_consumers=1, n_days=2, noise_cv=-1.0)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        SynthSpec(n_consumers=1, n_days=2, seed=-1)
     with pytest.raises(ValueError, match="base_kwh_per_day"):
         SynthSpec(n_consumers=1, n_days=2, base_kwh_per_day=0.0)
     for value in (float("nan"), float("inf"), float("-inf")):
@@ -621,6 +646,9 @@ def test_meter_writer_refuses_no_consumers(tmp_path):
                                          "of no consumers$"):
         write_meter_csv([], path)
     assert list(tmp_path.iterdir()) == []
+    path.write_text(_meter_lines([]), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no meter rows$"):
+        load_meter_csv(path)
 
 
 def test_meter_writer_refuses_an_id_that_is_not_utf8_text(tmp_path):
@@ -1164,12 +1192,19 @@ def test_meter_reader_names_the_consumer_of_the_first_date_break(tmp_path):
 
 def test_price_rows_refuse_a_double_quote(tmp_path):
     """A double quote in a row is refused, and so is a CR that is not part of a line end: a
-    line ending in a lone CR, or in CR CR LF, is refused as the meter reader refuses it."""
+    line ending in a lone CR, or in CR CR LF, is refused as the meter reader refuses it. The
+    unit line is held to the same rule."""
     path = tmp_path / "prices.csv"
+    write_price_csv(synth_population(SynthSpec(n_consumers=2, n_days=20, seed=7)).prices, path)
+    lone_cr = path.read_text(encoding="utf-8").replace("\r\n", "\r").replace("\n", "\r")
     da, rt = "2021-01-04,DA," + _day_cells(1.0), "2021-01-04,RT," + _day_cells(1.0)
-    for rows in (['2021-01-04,"DA",' + _day_cells(1.0), rt], [da + "\r" + rt],
-                 [da + "\r\r", rt + "\r\r"]):
-        path.write_text(_price_lines(rows), encoding="utf-8", newline="")
+    for text, row in ((_price_lines(['2021-01-04,"DA",' + _day_cells(1.0), rt]), 3),
+                      (_price_lines([da + "\r" + rt]), 3),
+                      (_price_lines([da + "\r\r", rt + "\r\r"]), 3),
+                      (lone_cr, 1),
+                      ("#unit=cents_per_kwh\r\r\n" + _price_lines([da, rt]).split("\n", 1)[1], 1),
+                      ('#unit="cents_per_kwh"\n', 1)):
+        path.write_text(text, encoding="utf-8", newline="")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: double quote or "
-                                             "carriage return at row 3$"):
+                                             f"carriage return at row {row}$"):
             load_price_csv(path)

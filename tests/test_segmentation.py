@@ -7,7 +7,7 @@ from conftest import brute_force_min_lambda, mask
 from ratecraft import segmentation
 from ratecraft.costs import consumer_stats, group_lambda
 from ratecraft.forecast import backtest_cv
-from ratecraft.ingest import SynthSpec, synth_population
+from ratecraft.ingest import SynthSpec, align, synth_population
 from ratecraft.segmentation import (
     SegmentGroup,
     SegmentationResult,
@@ -33,6 +33,8 @@ def test_default_size_grid():
     for smallest in (0, -2):
         with pytest.raises(ValueError, match="smallest must be >= 1"):
             default_size_grid(100, smallest=smallest)
+    with pytest.raises(ValueError, match="^population must be nonempty$"):
+        default_size_grid(0)
 
 
 def _replicated_population(n, days=30, seed=0):
@@ -190,6 +192,12 @@ def test_segmentation_result_validates_partition():
     g3 = SegmentGroup(round=2, members=rest, rate=3.0, cv=5.0, threshold_met=True)
     with pytest.raises(ValueError, match="cover"):
         SegmentationResult(groups=(g1, g3), cv_threshold=10.0, leftover_policy="aggregate")
+    wider = SegmentGroup(round=2, members=SelectionVector(5, [2, 3]), rate=3.0, cv=5.0,
+                         threshold_met=True)
+    with pytest.raises(ValueError, match="^all groups must index the same population$"):
+        SegmentationResult(groups=(g1, wider), cv_threshold=10.0, leftover_policy="drop")
+    with pytest.raises(ValueError, match="^unknown leftover policy 'keep'$"):
+        SegmentationResult(groups=(g1,), cv_threshold=10.0, leftover_policy="keep")
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -206,6 +214,23 @@ def test_segment_group_validation(field, value, message):
     SegmentGroup(**fields)
     with pytest.raises(ValueError, match=message):
         SegmentGroup(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("split, size_grid, message", [
+    (1.0, None, "validate window is empty"),
+    (0.75, [0, 3], "size grid entries must be >= 1"),
+], ids=["no-validate-window", "zero-size"])
+def test_segment_refuses_an_empty_window_or_a_zero_size_before_any_solve(
+    monkeypatch, split, size_grid, message
+):
+    base = synth_population(SynthSpec(n_consumers=20, n_days=30, seed=1))
+    ds = align(list(base.consumers), base.prices, split=split)
+    solves = []
+    monkeypatch.setattr(segmentation, "solve_min_lambda",
+                        lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        segment_population(ds, cv_threshold=10.0, size_grid=size_grid)
+    assert solves == []
 
 
 def test_stability_audit_clean_on_solver_output(synth_medium):

@@ -199,6 +199,22 @@ def test_dataset_rejects_bad_split():
         Dataset(consumers, prices, 1, 1)
     with pytest.raises(ValueError, match="at least one day"):
         Dataset(consumers, prices, 0, 3)
+    with pytest.raises(ValueError, match="^validate_days must be nonnegative$"):
+        Dataset(consumers, prices, 4, -1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda usage, prices: ConsumerSeries("", usage), "consumer_id must be nonempty"),
+    (lambda usage, prices: Dataset((), prices, 2, 1), "dataset needs at least one consumer"),
+    (lambda usage, prices: Dataset(
+        (ConsumerSeries("a", HourlyMatrix(usage.values, START + dt.timedelta(days=1))),),
+        prices, 2, 1), "consumer a starts 2021-01-05, prices start 2021-01-04"),
+], ids=["empty-id", "no-consumers", "start-date"])
+def test_dataset_and_consumer_refusals(make, message):
+    usage = HourlyMatrix(np.ones((3, 24)), START)
+    prices = PriceSeries(HourlyMatrix(np.ones((3, 24)), START), HourlyMatrix(np.ones((3, 24)), START))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(usage, prices)
 
 
 def test_dataset_rejects_duplicate_ids():
