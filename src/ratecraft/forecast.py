@@ -5,15 +5,20 @@ group's daily totals plus a per-weekday mean normalized load shape. The
 predicted day is the predicted total times the shape, so the hourly forecast
 sums exactly to the total prediction. It sits behind a small surface
 (fit_profile / predict_rows) so a richer model can be swapped in.
+
+A backtest and a replay are each one forecast walk (`_walk`): the group's
+profile, the fit on its training window, and the one-step forecasts of a run
+of rows. predict_rows forecasts the whole run in one predict_day call, over
+the rows' histories stacked as sliding windows of the daily totals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .costs import consumer_stats
 from .solver import DEFAULT_GAMMA, solve_min_lambda
@@ -85,11 +90,8 @@ def fit_ar(series: Sequence[float], order: int) -> tuple[float, np.ndarray]:
     n = y.size
     if n < order + 1:
         raise ValueError(f"need at least {order + 1} points to fit AR({order})")
-    rows = n - order
-    design = np.empty((rows, order + 1))
-    design[:, 0] = 1.0
-    for j in range(1, order + 1):
-        design[:, j] = y[order - j : n - j]
+    # row r: 1, then y[r + order - 1], ..., y[r], the lags most recent first
+    design = np.column_stack((np.ones(n - order), sliding_window_view(y[:-1], order)[:, ::-1]))
     coef, *_ = np.linalg.lstsq(design, y[order:], rcond=None)
     return float(coef[0]), coef[1:]
 
@@ -129,16 +131,6 @@ def group_profile(dataset: Dataset, u: SelectionVector) -> np.ndarray:
     return total.reshape(dataset.n_days, HOURS)
 
 
-def _require_usage(dataset: Dataset, u: SelectionVector, rows: np.ndarray, window: str):
-    """Refuse a group whose profile `rows` hold no usage, naming its first few members."""
-    if not rows.any():
-        ids = dataset.consumer_ids
-        named = ", ".join(ids[i] for i in u.indices[:5])
-        raise ValueError(
-            f"the group of {u.cardinality} consumer(s) has no usage in the {window}: {named}"
-        )
-
-
 def fit_profile(profile: np.ndarray, train_days: int, start_weekday: int) -> GroupForecaster:
     """Fit the AR(DEFAULT_AR_ORDER) group forecaster on the first train_days rows of a profile.
 
@@ -172,20 +164,29 @@ def predict_day(
 
     The predicted total (floored at 0) is spread over the weekday shape, so
     the hourly forecast sums back to the total exactly. A history whose last
-    `model.order` days give a non-finite total is refused.
+    `model.order` days give a non-finite total is refused. Histories may be
+    stacked on leading axes, each with its own weekday in `day_of_week`; the
+    forecasts are then stacked the same way, each as one history alone gives it.
     """
-    h = np.asarray(history, dtype=np.float64)
-    if h.size < model.order:
-        raise ValueError(f"need at least {model.order} days of history, got {h.size}")
-    day_of_week = _count(day_of_week, "day_of_week")
-    if not (0 <= day_of_week <= 6):
+    h = np.atleast_1d(np.asarray(history, dtype=np.float64))
+    if h.shape[-1] < model.order:
+        raise ValueError(f"need at least {model.order} days of history, got {h.shape[-1]}")
+    weekdays = np.asarray(day_of_week)
+    if weekdays.dtype.kind not in "iu":  # _count's check: no float, bool or string
+        raise ValueError(f"day_of_week must be an integer, got {day_of_week!r}")
+    if np.any((weekdays < 0) | (weekdays > 6)):
         raise ValueError("day_of_week must be in [0, 6]")
-    lags = h[-1 : -model.order - 1 : -1]  # most recent first, matching coeffs
-    total = model.intercept + float(model.coeffs @ lags)
-    if not math.isfinite(total):  # max(nan, 0.0) is nan
-        raise ValueError(f"history gives a non-finite predicted total ({total})")
-    total = max(total, 0.0)
-    return total * model.shapes[day_of_week]
+    # The lag products are added to 0 yesterday first, as `coeffs @ lags` adds them for
+    # one history, so a stacked forecast is bit-identical to its history's alone.
+    total = np.zeros(h.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is refused below
+        for j, c in enumerate(model.coeffs):
+            total += c * h[..., -1 - j]
+        total += model.intercept
+    bad = total[~np.isfinite(total)]
+    if bad.size:  # np.maximum(nan, 0.0) is nan
+        raise ValueError(f"history gives a non-finite predicted total ({bad[0]})")
+    return np.maximum(total, 0.0)[..., None] * model.shapes[weekdays]
 
 
 def predict_rows(
@@ -193,18 +194,15 @@ def predict_rows(
 ) -> np.ndarray:
     """Forecast rows [start, stop) one step ahead, as a (stop - start, 24) block.
 
-    Row k is predicted by predict_day from the actual daily totals before it
-    and the weekday of row k. This is the one walk-forward loop: the
-    backtest and the replay call it; the replay's first rows give its error model.
+    Row k is predicted from the `model.order` actual daily totals before it and
+    the weekday of row k. The rows' histories go to predict_day stacked, in one call.
     """
     if not (model.order <= start <= stop <= len(totals)):
         raise ValueError(
             f"rows [{start}, {stop}) need {model.order} days of history within {len(totals)} days"
         )
-    preds = np.empty((stop - start, HOURS))
-    for k in range(start, stop):
-        preds[k - start] = predict_day(model, totals[:k], (start_weekday + k) % 7)
-    return preds
+    histories = sliding_window_view(totals[start - model.order : stop], model.order)[:-1]
+    return predict_day(model, histories, (start_weekday + np.arange(start, stop)) % 7)
 
 
 def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -228,6 +226,27 @@ def cv(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return 100.0 * rmse / mean
 
 
+def _walk(dataset: Dataset, u: SelectionVector, start: int, stop: int, window: str):
+    """The group's forecast walk: its profile, daily totals and forecasts of rows [start, stop).
+
+    The forecaster is fit on the training window. A group with no usage in rows
+    [train_days, stop), named `window`, or in the training window raises, naming its
+    first few members.
+    """
+    profile = group_profile(dataset, u)
+    train_days = dataset.train_days
+    for rows, name in ((profile[train_days:stop], window),
+                       (profile[:train_days], "training window")):
+        if not rows.any():
+            named = ", ".join(dataset.consumer_ids[i] for i in u.indices[:5])
+            raise ValueError(
+                f"the group of {u.cardinality} consumer(s) has no usage in the {name}: {named}"
+            )
+    model = fit_profile(profile, train_days, dataset.start_weekday)
+    totals = profile.sum(axis=1)
+    return profile, totals, predict_rows(model, totals, start, stop, dataset.start_weekday)
+
+
 def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
     """Fit on the training window, evaluate CV over the whole validate window.
 
@@ -236,15 +255,9 @@ def backtest_cv(dataset: Dataset, u: SelectionVector) -> float:
     """
     if dataset.validate_days < 1:
         raise ValueError("validate window is empty")
-    profile = group_profile(dataset, u)
-    _require_usage(dataset, u, profile[dataset.train_days :], "validate window")
-    _require_usage(dataset, u, profile[: dataset.train_days], "training window")
-    model = fit_profile(profile, dataset.train_days, dataset.start_weekday)
-    preds = predict_rows(
-        model, profile.sum(axis=1), dataset.train_days, dataset.n_days, dataset.start_weekday
-    )
-    actual = profile[dataset.train_days :]
-    return cv(actual.ravel(), preds.ravel())
+    train_days, n_days = dataset.train_days, dataset.n_days
+    profile, _, preds = _walk(dataset, u, train_days, n_days, "validate window")
+    return cv(profile[train_days:].ravel(), preds.ravel())
 
 
 def cv_curve(

@@ -51,7 +51,6 @@ import functools
 import math
 import os
 import re
-import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,10 +433,9 @@ def load_price_csv(path) -> PriceSeries:
     lines = _text_lines(path)
     if '"' in lines[0] or "\r" in lines[0]:
         raise ValueError(f"{path}: double quote or carriage return at row 1")
-    first = lines[0].strip()
-    if not first.startswith("#unit="):
+    if not lines[0].startswith("#unit="):  # compared as exactly as the header
         raise ValueError(f"{path}: missing #unit= metadata line")
-    unit = first[len("#unit="):]
+    unit = lines[0][len("#unit="):]
     if unit not in _UNIT_SCALE:
         raise ValueError(f"{path}: unknown price unit {unit[:40]!r}")
     if lines[1:2] != [",".join(PRICE_HEADER)]:
@@ -476,7 +474,7 @@ def atomic_write(path, chunks):
     nothing already there can collide with it, and it is removed if writing fails.
     """
     path = str(path)
-    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as fh:

@@ -24,7 +24,7 @@ from .costs import (
     realized_cost,
     realized_rate,
 )
-from .forecast import _require_usage, fit_profile, group_profile, predict_rows
+from .forecast import DEFAULT_AR_ORDER, _walk
 from .types import Dataset, ForecastErrorModel, SelectionVector, _count
 
 
@@ -73,16 +73,11 @@ def replay_validate(
     if not (1 <= total_days <= dataset.validate_days):
         raise ValueError(f"n_days must be in [1, {dataset.validate_days}]")
 
-    train_days, start_weekday = dataset.train_days, dataset.start_weekday
+    train_days = dataset.train_days
     stop = train_days + total_days
-    profile = group_profile(dataset, selection)
-    _require_usage(dataset, selection, profile[train_days:stop], "replayed days")
-    _require_usage(dataset, selection, profile[:train_days], "training window")
-    model = fit_profile(profile, train_days, start_weekday)
-    totals = profile.sum(axis=1)
-    preds = predict_rows(model, totals, model.order, stop, start_weekday)
-    fitted = train_days - model.order
-    residuals = profile[model.order : train_days] - preds[:fitted]
+    profile, totals, preds = _walk(dataset, selection, DEFAULT_AR_ORDER, stop, "replayed days")
+    fitted = train_days - DEFAULT_AR_ORDER
+    residuals = profile[DEFAULT_AR_ORDER:train_days] - preds[:fitted]
     error_model = ForecastErrorModel(sigma=residuals.std(axis=0, ddof=1))
     q_mean = mean_real_time_price(dataset)
 

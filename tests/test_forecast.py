@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -340,6 +341,18 @@ def test_ar_lag_ordering():
     assert float(pred.sum()) == pytest.approx(11.0)
 
 
+def _scalar_predict_day(model, history, day_of_week):
+    """The one-history forecast as predict_day made it before it took stacked histories,
+    kept as the reference of the stacked kernel: the lags' dot product `coeffs @ lags`, the
+    intercept added to it, and the total floored at 0 and spread over the weekday shape."""
+    h = np.asarray(history, dtype=np.float64)
+    assert h.size >= model.order and 0 <= day_of_week <= 6
+    lags = h[-1 : -model.order - 1 : -1]  # most recent first, matching coeffs
+    total = model.intercept + float(model.coeffs @ lags)
+    assert math.isfinite(total)
+    return max(total, 0.0) * model.shapes[day_of_week]
+
+
 @pytest.mark.depth
 @given(
     members=st.sets(st.integers(0, 199), min_size=1, max_size=200),
@@ -347,7 +360,7 @@ def test_ar_lag_ordering():
     floor_shift=st.floats(-1.0, 0.0),
 )
 def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floor_shift):
-    # the block kernel must reproduce the single-day reference, looped day by day, exactly
+    # the one stacked predict_day call must reproduce the scalar forecast, day by day, exactly
     ds = synth_medium
     sel = SelectionVector(ds.n_consumers, sorted(members))
     profile = group_profile(ds, sel)
@@ -362,9 +375,50 @@ def test_predict_rows_equals_predict_day_loop(synth_medium, members, order, floo
     for start, stop in ((order, ds.train_days), (ds.train_days, ds.n_days)):
         block = predict_rows(model, totals, start, stop, ds.start_weekday)
         reference = np.array([
-            predict_day(model, totals[:k], ds.date_of_row(k).weekday()) for k in range(start, stop)
+            _scalar_predict_day(model, totals[:k], ds.date_of_row(k).weekday())
+            for k in range(start, stop)
         ])
         assert np.array_equal(block, reference)
+
+
+@pytest.mark.depth
+@given(
+    lead=st.lists(st.integers(0, 3), max_size=3),
+    order=st.integers(1, 8),
+    extra_days=st.integers(0, 3),
+    intercept=st.floats(-50.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_day_of_stacked_histories_equals_one_call_per_history(lead, order, extra_days,
+                                                                       intercept, seed):
+    # histories stacked on leading axes, each with its own weekday, forecast as one at a time
+    rng = np.random.default_rng(seed)
+    histories = rng.gamma(2.0, 10.0, size=(*lead, order + extra_days))
+    histories[rng.random(histories.shape) < 0.2] = 0.0
+    weekdays = rng.integers(0, 7, size=lead)
+    shapes = rng.random((7, 24)) + 0.01
+    model = GroupForecaster(intercept, rng.normal(0.0, 0.5, order),
+                            shapes / shapes.sum(axis=1, keepdims=True))
+    stacked = predict_day(model, histories, weekdays)
+    assert stacked.shape == (*lead, 24)
+    for index in np.ndindex(*lead):
+        alone = predict_day(model, histories[index], int(weekdays[index]))
+        assert stacked[index].tobytes() == alone.tobytes()
+
+
+def test_predict_rows_makes_one_predict_day_call(monkeypatch, synth_small):
+    calls = []
+    monkeypatch.setattr(forecast, "predict_day",
+                        lambda *args: calls.append(args) or predict_day(*args))
+    model = _fit(synth_small, _everyone(synth_small))
+    totals = group_profile(synth_small, _everyone(synth_small)).sum(axis=1)
+    for start, stop in ((model.order, model.order), (model.order, synth_small.n_days)):
+        calls.clear()
+        preds = predict_rows(model, totals, start, stop, synth_small.start_weekday)
+        assert len(calls) == 1 and preds.shape == (stop - start, 24)
+    calls.clear()
+    backtest_cv(synth_small, _everyone(synth_small))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("order", [1, 3, DEFAULT_AR_ORDER])

@@ -271,16 +271,26 @@ def test_price_date_mismatch(tmp_path):
 
 def test_price_unknown_unit(tmp_path):
     """An unknown unit is echoed, cut to 40 characters: a unit line with no line end runs to
-    the end of the file."""
+    the end of the file. The unit line is compared as exactly as the header: a space or tab
+    after the unit makes it unknown, and one before `#unit=` leaves no unit line."""
     path = tmp_path / "prices.csv"
-    for text, echoed in (
-        (_price_lines(["2021-01-04,DA," + _day_cells(3.0)], unit="eur_per_mwh"), "eur_per_mwh"),
-        ("#unit=" + "x" * 100_000, "x" * 40),
+    rows = ["2021-01-04,DA," + _day_cells(3.0), "2021-01-04,RT," + _day_cells(3.0)]
+    for text, message in (
+        (_price_lines(rows[:1], unit="eur_per_mwh"), "unknown price unit 'eur_per_mwh'"),
+        ("#unit=" + "x" * 100_000, f"unknown price unit {'x' * 40!r}"),
+        (_price_lines(rows, unit="cents_per_kwh "), "unknown price unit 'cents_per_kwh '"),
+        (_price_lines(rows, unit="cents_per_kwh\t"), "unknown price unit 'cents_per_kwh\\t'"),
+        (_price_lines(rows, unit="usd_per_mwh" + " " * 40),
+         f"unknown price unit {'usd_per_mwh' + ' ' * 29!r}"),
+        (" " + _price_lines(rows), "missing #unit= metadata line"),
+        ("\t" + _price_lines(rows), "missing #unit= metadata line"),
     ):
         path.write_text(text, encoding="utf-8", newline="")
         with pytest.raises(ValueError) as exc:
             load_price_csv(path)
-        assert str(exc.value) == f"{path}: unknown price unit {echoed!r}"
+        assert str(exc.value) == f"{path}: {message}"
+    path.write_text(_price_lines(rows), encoding="utf-8", newline="")
+    assert load_price_csv(path).day_ahead.values[0, 0] == 3.0
 
 
 @pytest.mark.parametrize("text, message", [

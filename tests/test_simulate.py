@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import one_step_sigma, vacate_rows, vacate_validate
-from ratecraft import simulate
+from ratecraft import forecast
 from ratecraft.costs import (
     DailySettlement,
     expected_penalty,
@@ -128,7 +128,7 @@ def test_replay_equals_the_two_walk_replay_bit_for_bit(monkeypatch, seed):
     # one predict_rows call over [order, stop) gives the error model and the forecasts
     ds = _premium_dataset(n=30, days=60, seed=seed)
     walks = []
-    monkeypatch.setattr(simulate, "predict_rows",
+    monkeypatch.setattr(forecast, "predict_rows",
                         lambda *args: walks.append(args[2:4]) or predict_rows(*args))
     for selection in (SelectionVector(30, range(1, 30, 3)), None):
         everyone = SelectionVector(30, range(30)) if selection is None else selection
@@ -198,7 +198,7 @@ def test_replay_refuses_a_selection_vacant_in_the_training_window():
 def test_replay_refuses_an_unknown_design_before_any_work(monkeypatch):
     ds = synth_population(SynthSpec(n_consumers=10, n_days=40, seed=5))
     profiles = []
-    monkeypatch.setattr(simulate, "group_profile",
+    monkeypatch.setattr(forecast, "group_profile",
                         lambda *args: profiles.append(args) or group_profile(*args))
     with pytest.raises(ValueError, match="unknown settlement design 'bogus'"):
         replay_validate(ds, design="bogus")
