@@ -1,3 +1,4 @@
+import ctypes
 import datetime as dt
 import itertools
 import math
@@ -28,6 +29,25 @@ settings.load_profile("det")
 START = dt.date(2021, 1, 4)  # a Monday
 
 BRUTE_FORCE_LIMIT = 1_000_000
+
+
+def _openblas_core():
+    """Core name of the OpenBLAS numpy loaded, read through its C API; None if not found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libs, key=lambda p: ("numpy" not in p, p)):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                fn = getattr(lib, symbol)
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
 
 
 def brute_force_min_lambda(stats, m: int) -> SolveResult:

@@ -1,4 +1,3 @@
-import ctypes
 import math
 import os
 import subprocess
@@ -10,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, mask, one_step_sigma, vacate_rows, vacate_validate
+from conftest import (
+    _openblas_core, make_dataset, mask, one_step_sigma, vacate_rows, vacate_validate,
+)
 from ratecraft import forecast
 from ratecraft.forecast import (
     DEFAULT_AR_ORDER,
@@ -129,25 +130,6 @@ def test_group_profile_of_one_member_and_of_everyone(n):
         assert group_profile(ds, SelectionVector(n, [i])).tobytes() == usage[i].tobytes()
     everyone = group_profile(ds, _everyone(ds))
     assert everyone.tobytes() == _block_order_reference(usage, range(n)).tobytes()
-
-
-def _openblas_core():
-    """Core name of the OpenBLAS numpy loaded, read through its C API; None if not found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(libs, key=lambda p: ("numpy" not in p, p)):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
-            if hasattr(lib, symbol):
-                fn = getattr(lib, symbol)
-                fn.argtypes = []
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 37, 38, 39, 1001, 1002, 1003, 1004])
