@@ -44,7 +44,7 @@ from .ingest import (
 )
 from .segmentation import default_size_grid, segment_population, stability_audit
 from .simulate import replay_validate
-from .solver import DEFAULT_GAMMA, lambda_curve, solve_min_lambda
+from .solver import DEFAULT_GAMMA, solve_min_lambda
 from .types import Dataset, SelectionVector
 
 _ALL = ("synth", "solve", "curves", "segment", "simulate")
@@ -312,13 +312,9 @@ def _run_curves(params):
     sizes = params["sizes"] or default_size_grid(dataset.n_consumers, smallest=1)
     if sizes[-1] > dataset.n_consumers:
         raise _UsageError(f"largest size {sizes[-1]} exceeds population {dataset.n_consumers}")
-    stats = consumer_stats(dataset)
-
-    lam_points = lambda_curve(stats, sizes, params["gamma"])
-    lam_rows = [f"{m},{lam:.9f}" for m, lam in lam_points]
-
     curve = cv_curve(dataset, sizes, n_random_trials=params["trials"],
                      gamma=params["gamma"], seed=params["seed"])
+    lam_rows = [f"{m},{lam:.9f}" for m, lam in curve.lambda_star.items()]
     cv_rows = []
     for point in curve.points:
         if point.kind == "random":

@@ -71,10 +71,14 @@ class CvPoint:
 
 @dataclass(frozen=True)
 class CvCurve:
-    """Forecast error versus group size, for random and optimal groups."""
+    """Forecast error versus group size, for random and optimal groups.
+
+    `lambda_star[m]` is the rate of size m's optimal group: the point `lambda_curve` gives.
+    """
 
     points: tuple[CvPoint, ...]
     random_ci: dict[int, tuple[float, float]]
+    lambda_star: dict[int, float]
 
 
 def fit_ar(series: Sequence[float], order: int) -> tuple[float, np.ndarray]:
@@ -271,7 +275,8 @@ def cv_curve(
 
     Per size M: the mean CV of n_random_trials uniformly random M-groups with
     a 95% band (mean +/- 1.96 sample standard deviations), plus the CV of the
-    minimum-rate group of size M solved on the training window. Trial k at
+    minimum-rate group of size M solved on the training window, whose rate
+    goes to `lambda_star[M]`: one solve per size gives both curves. Trial k at
     size index s draws from default_rng([seed, s, k]), so results are
     reproducible and independent of evaluation order. Sizes must be distinct,
     since each has one band.
@@ -291,6 +296,7 @@ def cv_curve(
         if not (1 <= m <= n):
             raise ValueError(f"group size must be in [1, {n}], got {m}")
     stats = consumer_stats(dataset)
+    solves = {m: solve_min_lambda(stats, m, gamma) for m in sizes}
     points: list[CvPoint] = []
     bands: dict[int, tuple[float, float]] = {}
     for s_idx, m in enumerate(sizes):
@@ -305,6 +311,6 @@ def cv_curve(
         bands[m] = (max(mean_cv - 1.96 * spread, 0.0), mean_cv + 1.96 * spread)
         points.append(CvPoint(m=m, kind="random", cv=mean_cv))
 
-        optimal = solve_min_lambda(stats, m, gamma).selection
-        points.append(CvPoint(m=m, kind="optimal", cv=backtest_cv(dataset, optimal)))
-    return CvCurve(points=tuple(points), random_ci=bands)
+        points.append(CvPoint(m=m, kind="optimal", cv=backtest_cv(dataset, solves[m].selection)))
+    rates = {m: solve.lambda_star for m, solve in solves.items()}
+    return CvCurve(points=tuple(points), random_ci=bands, lambda_star=rates)

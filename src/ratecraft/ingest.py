@@ -701,14 +701,21 @@ def align(consumers: list[ConsumerSeries], prices: PriceSeries, split: float) ->
     """Truncate all series to the common date range and split chronologically.
 
     ``train_days`` is round(split * total); the leading days form the
-    training window (no shuffling).
+    training window (no shuffling). With no common date, the refusal names the
+    latest start and the earliest end, each with what sets it: the prices if
+    they do, else the first consumer that does.
     """
     if not consumers:
         raise ValueError("no consumers to align")
     start = max([c.usage.start_date for c in consumers] + [prices.start_date])
     end = min([c.usage.end_date for c in consumers] + [prices.day_ahead.end_date])
     if start > end:
-        raise ValueError("no overlapping dates between consumers and prices")
+        spans = [("prices", prices.start_date, prices.day_ahead.end_date)] + [
+            (f"consumer {c.consumer_id}", c.usage.start_date, c.usage.end_date) for c in consumers]
+        starts = next(name for name, first, _ in spans if first == start)
+        ends = next(name for name, _, last in spans if last == end)
+        raise ValueError(f"no overlapping dates: the latest start is {start} ({starts}) "
+                         f"and the earliest end is {end} ({ends})")
     total = (end - start).days + 1
 
     def cut(matrix: HourlyMatrix) -> HourlyMatrix:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_force_min_lambda, vacate_rows, vacate_validate
-from ratecraft import cli
+from ratecraft import cli, forecast, solver
 from ratecraft.cli import main
 from ratecraft.costs import consumer_stats
 from ratecraft.ingest import (
@@ -225,6 +225,25 @@ def test_curves_outputs_schema(tmp_path):
     assert kinds == {"random", "optimal"}
     optimal_rows = [l for l in cv_lines[1:] if ",optimal," in l]
     assert all(l.endswith(",,") for l in optimal_rows)
+
+
+def test_curves_computes_stats_once_and_solves_each_size_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(stats_or_dataset, *args, **kwargs):
+            calls.append((name, *args[:1]))  # a solve's group size
+            return fn(stats_or_dataset, *args, **kwargs)
+        return wrapper
+
+    for module in (cli, forecast, solver):
+        for name in ("consumer_stats", "solve_min_lambda"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["curves", "--meter", METER, "--prices", PRICES, "--sizes", "1,4,12",
+                 "--trials", "2", "--out-dir", str(tmp_path)]) == 0
+    assert calls == [("consumer_stats",), ("solve_min_lambda", 1), ("solve_min_lambda", 4),
+                     ("solve_min_lambda", 12)]
 
 
 def test_curves_rerun_is_byte_identical(tmp_path):

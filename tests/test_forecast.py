@@ -13,6 +13,7 @@ from conftest import (
     _openblas_core, make_dataset, mask, one_step_sigma, vacate_rows, vacate_validate,
 )
 from ratecraft import forecast
+from ratecraft.costs import consumer_stats
 from ratecraft.forecast import (
     DEFAULT_AR_ORDER,
     CvPoint,
@@ -27,6 +28,7 @@ from ratecraft.forecast import (
     predict_rows,
 )
 from ratecraft.ingest import SynthSpec, synth_population
+from ratecraft.solver import DEFAULT_GAMMA, lambda_curve
 from ratecraft.types import SelectionVector
 
 
@@ -577,6 +579,9 @@ def test_cv_curve_deterministic(synth_medium):
     a = cv_curve(synth_medium, [10, 40], n_random_trials=5, seed=9)
     b = cv_curve(synth_medium, [10, 40], n_random_trials=5, seed=9)
     assert a == b
+    # the optimal groups' rates are lambda_curve's points, float for float
+    points = lambda_curve(consumer_stats(synth_medium), [10, 40], DEFAULT_GAMMA)
+    assert a.lambda_star == dict(points)
 
 
 def test_cv_curve_validates_sizes(synth_medium):

@@ -384,6 +384,25 @@ def test_align_disjoint():
     prices = PriceSeries(_series(dt.date(2021, 2, 1), 3, 3.0), _series(dt.date(2021, 2, 1), 3, 3.0))
     with pytest.raises(ValueError, match="no overlapping dates"):
         align(consumers, prices, split=0.5)
+
+    def refusal(spans, price_span):
+        consumers = [ConsumerSeries(cid, _series(first, days)) for cid, first, days in spans]
+        series = _series(*price_span, 3.0)
+        with pytest.raises(ValueError) as exc:
+            align(consumers, PriceSeries(series, series), split=0.5)
+        return str(exc.value)
+
+    jan1, feb1 = dt.date(2021, 1, 1), dt.date(2021, 2, 1)
+    assert refusal([("a", jan1, 3)], (feb1, 3)) == (  # prices after the meters
+        "no overlapping dates: the latest start is 2021-02-01 (prices) "
+        "and the earliest end is 2021-01-03 (consumer a)")
+    assert refusal([("a", feb1, 3)], (jan1, 3)) == (  # prices before them
+        "no overlapping dates: the latest start is 2021-02-01 (consumer a) "
+        "and the earliest end is 2021-01-03 (prices)")
+    assert refusal([("a", jan1, 3), ("b", dt.date(2021, 1, 10), 3), ("c", jan1, 31)],
+                   (jan1, 31)) == (  # two consumers that do not overlap each other
+        "no overlapping dates: the latest start is 2021-01-10 (consumer b) "
+        "and the earliest end is 2021-01-03 (consumer a)")
     with pytest.raises(ValueError, match="^no consumers to align$"):
         align([], prices, split=0.5)
 
